@@ -47,10 +47,10 @@
 // bounded peak-buffer assertion.
 //
 // -fig mutations runs the write-path workload: batched SPARQL UPDATE
-// requests through the engine with a WAL (fsync per batch), tombstone
-// deletes and compaction, then a simulated crash — the mutated store is
-// discarded and rebuilt from the pre-mutation snapshot plus a WAL replay —
-// recording insert/delete/compact/recover timings and whether every
+// requests through the engine with a WAL (fsync per batch), inserts then
+// deletes, then a simulated crash — the mutated store is discarded and
+// rebuilt from the pre-mutation snapshot plus a WAL replay — recording
+// insert/delete/recover timings and whether every
 // Figure-5 query answers byte-identically on the recovered store.
 //
 // -digest evaluates the Figure-5 suite and writes one "task sha256" line

@@ -17,8 +17,7 @@ import (
 )
 
 // The mutations workload measures the write path end to end: SPARQL UPDATE
-// batches through the engine (WAL fsync included), tombstone accumulation
-// and compaction, and crash recovery — a kill-9 simulated by discarding the
+// batches through the engine (WAL fsync included) and crash recovery — a kill-9 simulated by discarding the
 // mutated store and rebuilding it from the pre-mutation snapshot plus a WAL
 // replay. The headline correctness number is ByteIdentical: every Figure-5
 // query must return byte-identical SPARQL JSON on the recovered store and on
@@ -34,7 +33,7 @@ const (
 )
 
 // mutationGraph is the graph the workload writes into (the largest of the
-// three, so tombstone scans and compaction touch real data).
+// three, so every write rebuilds a real-sized index).
 var mutationGraph = datagen.DBpediaURI
 
 // MutationsReport holds the write-path numbers.
@@ -51,10 +50,6 @@ type MutationsReport struct {
 	// InsertTriplesPerSec / DeleteTriplesPerSec are the derived throughputs.
 	InsertTriplesPerSec float64 `json:"insert_triples_per_sec"`
 	DeleteTriplesPerSec float64 `json:"delete_triples_per_sec"`
-	// CompactSeconds times the forced compaction of the graphs left carrying
-	// tombstones after the delete phase; CompactedGraphs counts them.
-	CompactSeconds  float64 `json:"compact_seconds"`
-	CompactedGraphs int     `json:"compacted_graphs"`
 	// WALBytes is the log size after the full workload, before recovery.
 	WALBytes int64 `json:"wal_bytes"`
 	// RecoverSeconds times OpenWAL + Replay onto the freshly-reopened
@@ -115,9 +110,8 @@ func MeasureMutations(env *Env, walDir string) (*MutationsReport, error) {
 	}
 	rep.InsertSeconds = time.Since(start).Seconds()
 
-	// Delete phase: all but the last batch via DELETE DATA (tombstones
-	// accumulate and auto-compaction fires when they cross the threshold),
-	// the last via a DELETE WHERE sweep over the workload predicate.
+	// Delete phase: all but the last batch via DELETE DATA, the last via a
+	// DELETE WHERE sweep over the workload predicate.
 	start = time.Now()
 	for b := 0; b < mutationBatches-1; b++ {
 		res, err := live.Update(ctx, deleteBatch(b), fmt.Sprintf("mut-del-%d", b))
@@ -139,11 +133,6 @@ func MeasureMutations(env *Env, walDir string) (*MutationsReport, error) {
 	if rep.DeleteSeconds > 0 {
 		rep.DeleteTriplesPerSec = float64(rep.Deleted) / rep.DeleteSeconds
 	}
-
-	// Compaction: drop whatever tombstones the threshold left behind.
-	start = time.Now()
-	rep.CompactedGraphs = liveStore.CompactAll()
-	rep.CompactSeconds = time.Since(start).Seconds()
 
 	if size, err := wal.Size(); err == nil {
 		rep.WALBytes = size
@@ -236,7 +225,6 @@ func FormatMutations(r *MutationsReport) string {
 		r.Inserted, r.InsertSeconds, r.InsertTriplesPerSec)
 	fmt.Fprintf(&sb, "  delete               %d triples in %.4fs (%.0f triples/s)\n",
 		r.Deleted, r.DeleteSeconds, r.DeleteTriplesPerSec)
-	fmt.Fprintf(&sb, "  compact              %d graph(s) in %.4fs\n", r.CompactedGraphs, r.CompactSeconds)
 	fmt.Fprintf(&sb, "  wal size             %d bytes\n", r.WALBytes)
 	fmt.Fprintf(&sb, "  recover              %d batches replayed in %.4fs\n", r.ReplayBatches, r.RecoverSeconds)
 	fmt.Fprintf(&sb, "  figure-5 after crash byte-identical=%v\n", r.ByteIdentical)

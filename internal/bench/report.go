@@ -207,7 +207,7 @@ type JSONReport struct {
 	// leapfrog triejoin and byte-identity) when benchrunner measured them.
 	Wcoj *WCOJReport `json:"wcoj,omitempty"`
 	// Mutations holds the write-path numbers (SPARQL UPDATE batches, WAL
-	// durability, compaction, and crash-recovery byte-identity) when
+	// durability, and crash-recovery byte-identity) when
 	// benchrunner measured them.
 	Mutations *MutationsReport `json:"mutations,omitempty"`
 	// Features holds the feature-pipeline numbers (property-path queries,

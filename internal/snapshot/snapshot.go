@@ -2,12 +2,12 @@
 // binary file and reopens it without re-parsing any RDF text — the storage
 // half of the system's lifecycle. A snapshot records the dictionary as a
 // length-prefixed term table plus each named graph's dictionary-encoded
-// triples in insertion order; reopening rebuilds the SPO/POS/OSP indexes
-// directly from ids, which skips text scanning, term allocation, term
-// re-interning, and duplicate checking, and is therefore several times
-// faster than loading the same data from N-Triples.
+// triples in SPO order; reopening hands each triple list to the store's
+// index build (store.BulkGraph), which skips text scanning, term
+// allocation and term re-interning, and skips the build's one full sort
+// because the list arrives in SPO order.
 //
-// # File format (version 2; version 1 is still readable)
+// # File format (version 3)
 //
 //	[8]byte  magic "RDFFSNAP"
 //	uint32   format version (little endian)
@@ -18,37 +18,21 @@
 //	                          uvarint len + bytes language tag
 //	uvarint  graph count G, then G graphs:
 //	           uvarint len + bytes graph URI
-//	           uvarint triple count T, then T triples:
+//	           uvarint triple count T, then T triples in strictly
+//	           ascending (subject, predicate, object) order:
 //	             uvarint subject id, uvarint predicate id, uvarint object id
-//	           3 index images (SPO, POS, OSP order), each:
-//	             uvarint outer key count, then per outer key:
-//	               uvarint key, uvarint inner key count, then per inner key:
-//	                 uvarint key, uvarint list length, then that many ids
-//	           version >= 2 only — statistics section:
-//	             uvarint predicate count K, then K pairs in ascending
-//	             predicate id order:
-//	               uvarint predicate id, uvarint distinct subject count
 //	uint32   CRC-32 (IEEE, little endian) of every preceding byte
-//
-// The statistics section persists the one catalog number the query planner
-// needs that is not an O(1) read off the installed indexes — the distinct
-// subject count per predicate (see store's stats catalog) — so reopening a
-// snapshot skips the derivation pass over the SPO image. Version-1 files
-// lack the section; reading them derives the counters instead.
 //
 // All ids refer to the term table (1-based; 0 never appears). The trailing
 // checksum covers the header too, so a corrupted, truncated, or trailing-
 // garbage file is always rejected with a descriptive error rather than
-// loaded wrong.
-//
-// The index images repeat information derivable from the triple list; they
-// are stored anyway because installing a prebuilt adjacency (exact-sized
-// maps, all lists carved from one slab) is what removes the per-triple map
-// insertion work from the reopen path — profiling shows that rebuild, not
-// text parsing, dominates once the text is gone. Snapshot files trade ~3x
-// size (still several times smaller than the N-Triples text) for that.
-// Outer and inner keys are written in ascending order, making snapshot
-// bytes a deterministic function of store content.
+// loaded wrong. Past the checksum the reader still checks everything the
+// store relies on: ids in range, each triple list strictly ascending (so
+// no duplicates), graph URIs distinct, and every varint in its shortest
+// form. A file that passes is therefore exactly the bytes Write produces
+// for the store it yields. Versions 1 and 2, which also carried index
+// images and a statistics section, are rejected with an
+// UnsupportedVersionError; regenerate them from the source data.
 package snapshot
 
 import (
@@ -60,7 +44,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/store"
@@ -69,9 +52,8 @@ import (
 // Magic identifies a snapshot file.
 const Magic = "RDFFSNAP"
 
-// Version is the current format version this package writes. Version 1
-// (identical but without the per-graph statistics section) is still read.
-const Version = 2
+// Version is the only format version this package reads and writes.
+const Version = 3
 
 // ErrBadMagic reports that the input does not start with the snapshot magic.
 var ErrBadMagic = errors.New("snapshot: not a snapshot file (bad magic)")
@@ -86,7 +68,7 @@ type UnsupportedVersionError struct {
 }
 
 func (e *UnsupportedVersionError) Error() string {
-	return fmt.Sprintf("snapshot: format version %d not supported (this build reads versions 1..%d)", e.Got, Version)
+	return fmt.Sprintf("snapshot: format version %d not supported (this build reads version %d)", e.Got, Version)
 }
 
 // Write serializes st to w in snapshot format.
@@ -110,21 +92,13 @@ func Write(w io.Writer, st *store.Store) error {
 	cw.uvarint(uint64(len(uris)))
 	for _, uri := range uris {
 		cw.str(uri)
-		g := st.Graph(uri)
-		// LiveImage filters tombstoned triples out of both the triple list
-		// and the serialized indexes: a snapshot never contains tombstones,
-		// so reopening one is always a compacted store.
-		triples, spo, pos, osp, predSubj := g.LiveImage()
+		triples := st.Graph(uri).Triples()
 		cw.uvarint(uint64(len(triples)))
 		for _, t := range triples {
 			cw.uvarint(uint64(t.S))
 			cw.uvarint(uint64(t.P))
 			cw.uvarint(uint64(t.O))
 		}
-		writeIndex(cw, spo)
-		writeIndex(cw, pos)
-		writeIndex(cw, osp)
-		writeStats(cw, predSubj)
 	}
 
 	// The trailer carries the checksum of everything before it, so it is
@@ -140,8 +114,9 @@ func Write(w io.Writer, st *store.Store) error {
 }
 
 // Read deserializes a snapshot into a fresh store. It fails with ErrBadMagic
-// on foreign input, an *UnsupportedVersionError on a future format, and
-// ErrChecksum or a descriptive corruption error on damaged files.
+// on foreign input, an *UnsupportedVersionError on any format version but
+// Version, and ErrChecksum or a descriptive corruption error on damaged
+// files.
 //
 // The whole snapshot is buffered in memory: the checksum is verified in one
 // vectorized pass before any byte is interpreted, and every term string is
@@ -171,7 +146,7 @@ func decode(data []byte) (*store.Store, error) {
 		return nil, truncated(io.ErrUnexpectedEOF)
 	}
 	version := binary.LittleEndian.Uint32(data[len(Magic):])
-	if version == 0 || version > Version {
+	if version != Version {
 		return nil, &UnsupportedVersionError{Got: version}
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
@@ -201,25 +176,14 @@ func decode(data []byte) (*store.Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: graph %d uri: %w", i, err)
 		}
+		if st.Graph(uri) != nil {
+			return nil, fmt.Errorf("snapshot: graph <%s> appears twice", uri)
+		}
 		triples, err := readTriples(p, maxID)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: graph <%s>: %w", uri, err)
 		}
-		var indexes [3]map[store.ID]map[store.ID][]store.ID
-		for j := range indexes {
-			if indexes[j], err = readIndex(p, len(triples), maxID); err != nil {
-				return nil, fmt.Errorf("snapshot: graph <%s> index %d: %w", uri, j, err)
-			}
-		}
-		if version >= 2 {
-			predSubj, err := readStats(p, len(triples), maxID)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: graph <%s> stats: %w", uri, err)
-			}
-			if err := st.BulkGraphIndexedStats(uri, triples, indexes[0], indexes[1], indexes[2], predSubj); err != nil {
-				return nil, fmt.Errorf("snapshot: graph <%s>: %w", uri, err)
-			}
-		} else if err := st.BulkGraphIndexed(uri, triples, indexes[0], indexes[1], indexes[2]); err != nil {
+		if err := st.BulkGraph(uri, triples); err != nil {
 			return nil, fmt.Errorf("snapshot: graph <%s>: %w", uri, err)
 		}
 	}
@@ -288,11 +252,16 @@ func readTerms(p *parser) ([]rdf.Term, error) {
 	if count > store.MaxTerms {
 		return nil, fmt.Errorf("snapshot: term table claims %d terms, exceeding the id space", count)
 	}
+	// Each term takes at least two bytes (kind and value length), which
+	// bounds the allocation a corrupt count can cause.
+	if count > uint64(len(p.data)-p.pos)/2 {
+		return nil, truncated(io.ErrUnexpectedEOF)
+	}
 	type termRef struct {
 		kind               rdf.TermKind
 		value, dtype, lang byteSpan
 	}
-	refs := make([]termRef, 0, min(count, 1<<20))
+	refs := make([]termRef, 0, count)
 	sectionStart := p.pos
 	for i := uint64(0); i < count; i++ {
 		kind, err := p.byte()
@@ -332,154 +301,44 @@ func readTerms(p *parser) ([]rdf.Term, error) {
 	return terms, nil
 }
 
+// readTriples reads one graph's triple list, checking that every id is in
+// range and that the list is strictly ascending in SPO order.
 func readTriples(p *parser, maxID uint64) ([]store.IDTriple, error) {
 	count, err := p.uvarint()
 	if err != nil {
 		return nil, truncated(err)
 	}
-	triples := make([]store.IDTriple, 0, min(count, 1<<22))
+	// Each triple takes at least three bytes, which bounds the allocation
+	// a corrupt count can cause.
+	if count > uint64(len(p.data)-p.pos)/3 {
+		return nil, truncated(io.ErrUnexpectedEOF)
+	}
+	triples := make([]store.IDTriple, 0, count)
 	for i := uint64(0); i < count; i++ {
-		s, err1 := p.uvarint()
-		pr, err2 := p.uvarint()
-		o, err3 := p.uvarint()
+		s, err1 := p.id(maxID)
+		pr, err2 := p.id(maxID)
+		o, err3 := p.id(maxID)
 		if err := errors.Join(err1, err2, err3); err != nil {
-			return nil, truncated(err)
+			return nil, fmt.Errorf("triple %d: %w", i, err)
 		}
-		if s == 0 || s > maxID || pr == 0 || pr > maxID || o == 0 || o > maxID {
-			return nil, fmt.Errorf("triple %d has out-of-range ids (%d %d %d)", i, s, pr, o)
+		t := store.IDTriple{S: s, P: pr, O: o}
+		if i > 0 && !less(triples[i-1], t) {
+			return nil, fmt.Errorf("triple %d (%d %d %d) does not follow its predecessor in strictly ascending SPO order", i, s, pr, o)
 		}
-		triples = append(triples, store.IDTriple{S: store.ID(s), P: store.ID(pr), O: store.ID(o)})
+		triples = append(triples, t)
 	}
 	return triples, nil
 }
 
-// writeIndex serializes one adjacency index with outer and inner keys in
-// ascending order, so identical stores produce identical snapshot bytes.
-func writeIndex(cw *crcWriter, m map[store.ID]map[store.ID][]store.ID) {
-	cw.uvarint(uint64(len(m)))
-	for _, a := range sortedIDKeys(m) {
-		inner := m[a]
-		cw.uvarint(uint64(a))
-		cw.uvarint(uint64(len(inner)))
-		for _, b := range sortedIDKeys(inner) {
-			list := inner[b]
-			cw.uvarint(uint64(b))
-			cw.uvarint(uint64(len(list)))
-			for _, id := range list {
-				cw.uvarint(uint64(id))
-			}
-		}
+// less orders triples by subject, then predicate, then object.
+func less(a, b store.IDTriple) bool {
+	if a.S != b.S {
+		return a.S < b.S
 	}
-}
-
-// writeStats serializes a graph's per-predicate distinct subject counters
-// in ascending predicate order (deterministic bytes, like the indexes).
-func writeStats(cw *crcWriter, predSubj map[store.ID]int) {
-	cw.uvarint(uint64(len(predSubj)))
-	for _, p := range sortedIDKeys(predSubj) {
-		cw.uvarint(uint64(p))
-		cw.uvarint(uint64(predSubj[p]))
+	if a.P != b.P {
+		return a.P < b.P
 	}
-}
-
-// readStats deserializes the per-graph statistics section. Counts are only
-// range-checked here; cross-validation against the index images happens in
-// store.BulkGraphIndexedStats.
-func readStats(p *parser, tripleCount int, maxID uint64) (map[store.ID]int, error) {
-	count, err := p.uvarint()
-	if err != nil {
-		return nil, truncated(err)
-	}
-	if count > uint64(tripleCount) {
-		return nil, fmt.Errorf("stats section claims %d predicates for %d triples", count, tripleCount)
-	}
-	out := make(map[store.ID]int, count)
-	for i := uint64(0); i < count; i++ {
-		pred, err := p.id(maxID)
-		if err != nil {
-			return nil, err
-		}
-		n, err := p.uvarint()
-		if err != nil {
-			return nil, truncated(err)
-		}
-		if _, dup := out[pred]; dup {
-			return nil, fmt.Errorf("stats section repeats predicate %d", pred)
-		}
-		if n < 1 || n > uint64(tripleCount) {
-			return nil, fmt.Errorf("stats section claims %d distinct subjects for predicate %d of a %d-triple graph", n, pred, tripleCount)
-		}
-		out[pred] = int(n)
-	}
-	return out, nil
-}
-
-func sortedIDKeys[V any](m map[store.ID]V) []store.ID {
-	keys := make([]store.ID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// readIndex deserializes one adjacency index. Every id list is carved from
-// a single slab sized by the graph's triple count — each triple contributes
-// exactly one entry per index, which readIndex verifies, so reopen performs
-// one list allocation per index instead of one per (outer, inner) pair.
-func readIndex(p *parser, tripleCount int, maxID uint64) (map[store.ID]map[store.ID][]store.ID, error) {
-	outerCount, err := p.uvarint()
-	if err != nil {
-		return nil, truncated(err)
-	}
-	if outerCount > uint64(tripleCount) {
-		return nil, fmt.Errorf("index claims %d keys for %d triples", outerCount, tripleCount)
-	}
-	m := make(map[store.ID]map[store.ID][]store.ID, outerCount)
-	slab := make([]store.ID, 0, tripleCount)
-	for i := uint64(0); i < outerCount; i++ {
-		outer, err := p.id(maxID)
-		if err != nil {
-			return nil, err
-		}
-		innerCount, err := p.uvarint()
-		if err != nil {
-			return nil, truncated(err)
-		}
-		if innerCount > uint64(tripleCount) {
-			return nil, fmt.Errorf("index key %d claims %d entries for %d triples", outer, innerCount, tripleCount)
-		}
-		inner := make(map[store.ID][]store.ID, innerCount)
-		for j := uint64(0); j < innerCount; j++ {
-			key, err := p.id(maxID)
-			if err != nil {
-				return nil, err
-			}
-			listLen, err := p.uvarint()
-			if err != nil {
-				return nil, truncated(err)
-			}
-			if uint64(len(slab))+listLen > uint64(tripleCount) {
-				return nil, fmt.Errorf("index lists exceed the graph's %d triples", tripleCount)
-			}
-			start := len(slab)
-			for k := uint64(0); k < listLen; k++ {
-				id, err := p.id(maxID)
-				if err != nil {
-					return nil, err
-				}
-				slab = append(slab, id)
-			}
-			// Full slice expression: a later incremental Add must copy on
-			// append rather than clobber its slab neighbour.
-			inner[key] = slab[start:len(slab):len(slab)]
-		}
-		m[outer] = inner
-	}
-	if len(slab) != tripleCount {
-		return nil, fmt.Errorf("index holds %d entries, want %d (one per triple)", len(slab), tripleCount)
-	}
-	return m, nil
+	return a.O < b.O
 }
 
 func truncated(err error) error {
@@ -516,6 +375,8 @@ func (p *parser) id(maxID uint64) (store.ID, error) {
 	return store.ID(v), nil
 }
 
+// uvarint reads one varint, rejecting overlong encodings (a multi-byte
+// varint whose last byte is zero), which Write never produces.
 func (p *parser) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(p.data[p.pos:])
 	if n <= 0 {
@@ -523,6 +384,9 @@ func (p *parser) uvarint() (uint64, error) {
 			return 0, io.ErrUnexpectedEOF
 		}
 		return 0, errors.New("malformed varint")
+	}
+	if n > 1 && p.data[p.pos+n-1] == 0 {
+		return 0, errors.New("overlong varint")
 	}
 	p.pos += n
 	return v, nil

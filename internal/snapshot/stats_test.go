@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -37,96 +38,97 @@ func TestStatsSurviveReopen(t *testing.T) {
 	}
 }
 
-// TestVersion1StillReadable hand-rolls a minimal version-1 snapshot (no
-// statistics sections) and asserts the reader still accepts it, deriving
-// the catalog from the index images instead.
-func TestVersion1StillReadable(t *testing.T) {
-	var body bytes.Buffer
-	uv := func(v uint64) {
-		var buf [binary.MaxVarintLen64]byte
-		body.Write(buf[:binary.PutUvarint(buf[:], v)])
-	}
-	str := func(s string) {
-		uv(uint64(len(s)))
-		body.WriteString(s)
-	}
+// restamp rewrites the trailing checksum after a deliberate edit, so the
+// damage a test plants is semantic rather than bitrot.
+func restamp(data []byte) {
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
+}
 
-	body.WriteString(Magic)
-	var ver [4]byte
-	binary.LittleEndian.PutUint32(ver[:], 1)
-	body.Write(ver[:])
-
-	// Term table: three IRIs (ids 1..3).
-	uv(3)
-	for _, v := range []string{"http://v1/s", "http://v1/p", "http://v1/o"} {
-		body.WriteByte(1) // IRI kind
-		str(v)
-	}
-
-	// One graph with one triple (1 2 3) and its three index images.
-	uv(1)
-	str("http://v1/g")
-	uv(1)
-	uv(1)
-	uv(2)
-	uv(3)
-	writeImage := func(a, b, c uint64) {
-		uv(1) // one outer key
-		uv(a) // outer
-		uv(1) // one inner key
-		uv(b) // inner
-		uv(1) // list length
-		uv(c) // entry
-	}
-	writeImage(1, 2, 3) // SPO
-	writeImage(2, 3, 1) // POS
-	writeImage(3, 1, 2) // OSP
-	// No stats section in version 1.
-
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(body.Bytes()))
-	body.Write(trailer[:])
-
-	st, err := Read(bytes.NewReader(body.Bytes()))
-	if err != nil {
-		t.Fatalf("version-1 snapshot rejected: %v", err)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("triples = %d, want 1", st.Len())
-	}
-	gs := st.Stats().Graphs["http://v1/g"]
-	if gs == nil {
-		t.Fatal("no stats for reopened v1 graph")
-	}
-	if got := gs.Predicates[2]; got != (store.PredicateStats{Triples: 1, DistinctSubjects: 1, DistinctObjects: 1}) {
-		t.Fatalf("derived v1 stats = %+v", got)
+// TestOldVersionsRejected asserts that format versions 1 and 2, which
+// carried index images and a statistics section, are refused by version
+// number rather than misread.
+func TestOldVersionsRejected(t *testing.T) {
+	for _, v := range []uint32{1, 2} {
+		data := snapshotBytes(t, testStore(t))
+		binary.LittleEndian.PutUint32(data[len(Magic):], v)
+		restamp(data)
+		var vErr *UnsupportedVersionError
+		if _, err := Read(bytes.NewReader(data)); !errors.As(err, &vErr) || vErr.Got != v {
+			t.Fatalf("version %d: err = %v, want UnsupportedVersionError", v, err)
+		}
 	}
 }
 
-// TestCorruptStatsSectionRejected asserts that an inconsistent stats
-// section fails loudly (after a CRC re-stamp, so the corruption is
-// semantic, not bitrot).
-func TestCorruptStatsSectionRejected(t *testing.T) {
+// twoTripleSnapshot returns the snapshot of one graph holding (1 3 4) and
+// (2 3 4): every id fits one varint byte, so the body ends with the six
+// bytes 1 3 4 2 3 4.
+func twoTripleSnapshot(t *testing.T) []byte {
+	t.Helper()
 	st := store.New()
-	s := st.Dict().Encode(iriTerm("s"))
-	p := st.Dict().Encode(iriTerm("p"))
-	o := st.Dict().Encode(iriTerm("o"))
-	if err := st.BulkGraph("http://g", []store.IDTriple{{S: s, P: p, O: o}}); err != nil {
+	d := st.Dict()
+	s1, s2, p, o := d.Encode(iriTerm("s1")), d.Encode(iriTerm("s2")), d.Encode(iriTerm("p")), d.Encode(iriTerm("o"))
+	if err := st.BulkGraph("http://g", []store.IDTriple{{S: s1, P: p, O: o}, {S: s2, P: p, O: o}}); err != nil {
 		t.Fatal(err)
 	}
 	data := snapshotBytes(t, st)
-	// The final varints of the body are the stats section: count=1,
-	// predicate id, distinct subjects=1. Flip the distinct-subject count to
-	// an out-of-range value and re-stamp the checksum.
-	body := data[:len(data)-4]
-	if body[len(body)-1] != 1 {
-		t.Fatalf("unexpected final stats byte %d", body[len(body)-1])
+	if tail := data[len(data)-10 : len(data)-4]; !bytes.Equal(tail, []byte{1, 3, 4, 2, 3, 4}) {
+		t.Fatalf("unexpected triple bytes %v", tail)
 	}
-	body[len(body)-1] = 9 // > triple count
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(body))
-	copy(data[len(data)-4:], trailer[:])
+	return data
+}
+
+// TestUnsortedTripleListRejected asserts that the reader refuses a triple
+// list that is not strictly ascending — out of order or with a repeated
+// triple — even when the checksum matches.
+func TestUnsortedTripleListRejected(t *testing.T) {
+	for name, triples := range map[string][]byte{
+		"out of order": {2, 3, 4, 1, 3, 4},
+		"duplicate":    {1, 3, 4, 1, 3, 4},
+	} {
+		data := twoTripleSnapshot(t)
+		copy(data[len(data)-10:], triples)
+		restamp(data)
+		if _, err := Read(bytes.NewReader(data)); err == nil {
+			t.Fatalf("%s triple list accepted", name)
+		}
+	}
+}
+
+// TestDuplicateBulkTriplesRoundTrip is the regression test for duplicate
+// triples handed to BulkGraph: they collapse on install, so the snapshot
+// holds one copy and every access path of the reopened store agrees.
+func TestDuplicateBulkTriplesRoundTrip(t *testing.T) {
+	st := store.New()
+	d := st.Dict()
+	tr := store.IDTriple{S: d.Encode(iriTerm("s")), P: d.Encode(iriTerm("p")), O: d.Encode(iriTerm("o"))}
+	if err := st.BulkGraph("http://g", []store.IDTriple{tr, tr}); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Read(bytes.NewReader(snapshotBytes(t, st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := re.Graph("http://g")
+	if g.Len() != 1 || g.Count(store.IDTriple{S: tr.S, P: tr.P}) != 1 || g.Count(tr) != 1 {
+		t.Fatalf("Len=%d Count(s,p,?)=%d Count(s,p,o)=%d, want 1 each",
+			g.Len(), g.Count(store.IDTriple{S: tr.S, P: tr.P}), g.Count(tr))
+	}
+}
+
+// TestRepeatedGraphRejected asserts that a graph URI listed twice is
+// refused: installing both would leave a store whose snapshot differs from
+// the file.
+func TestRepeatedGraphRejected(t *testing.T) {
+	var body bytes.Buffer
+	body.WriteString(Magic)
+	binary.Write(&body, binary.LittleEndian, uint32(Version))
+	body.Write([]byte{0})                       // no terms
+	body.Write([]byte{2, 1, 'g', 0, 1, 'g', 0}) // graph "g" twice, no triples
+	body.Write(make([]byte, 4))
+	data := body.Bytes()
+	restamp(data)
 	if _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Fatal("inconsistent stats section accepted")
+		t.Fatal("repeated graph accepted")
 	}
 }

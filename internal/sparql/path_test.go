@@ -103,7 +103,7 @@ func TestPathPlusBackward(t *testing.T) {
 	}
 }
 
-// A tombstoned triple must not contribute to the closure: deleting b -> c
+// A deleted triple must not contribute to the closure: deleting b -> c
 // cuts everything past b off from a.
 func TestPathPlusTombstonedTriple(t *testing.T) {
 	e := NewEngine(cycleStore(t))

@@ -17,16 +17,19 @@ import (
 // chainStore holds n subjects with two fan-out-3 predicates p and q, so
 // "?s p ?o . ?s q ?x" yields 9n rows.
 func chainStore(n int) *store.Store {
-	s := store.New()
 	p := rdf.NewIRI("http://ex/p")
 	q := rdf.NewIRI("http://ex/q")
+	var ts []rdf.Triple
 	for i := 0; i < n; i++ {
 		sub := rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i))
 		for j := 0; j < 3; j++ {
-			s.Add(testGraph, rdf.Triple{S: sub, P: p, O: rdf.NewIRI(fmt.Sprintf("http://ex/o%d", (i+j)%97))})
-			s.Add(testGraph, rdf.Triple{S: sub, P: q, O: rdf.NewInteger(int64(i % 1000))})
+			ts = append(ts,
+				rdf.Triple{S: sub, P: p, O: rdf.NewIRI(fmt.Sprintf("http://ex/o%d", (i+j)%97))},
+				rdf.Triple{S: sub, P: q, O: rdf.NewInteger(int64(i % 1000))})
 		}
 	}
+	s := store.New()
+	s.AddAll(testGraph, ts)
 	return s
 }
 

@@ -1,14 +1,16 @@
 package store
 
+import "slices"
+
 // Store-side topology features for graph-ML feature extraction: per-node
 // in/out degree and bounded 2-hop neighborhood sizes, computed entirely in
-// id space off the SPO/OSP indexes — no term is decoded. Like the sorted
-// runs, these readers assume the caller holds the store read lock, so a
-// feature sweep sees one consistent store version.
+// id space off the SPO and OSP permutations — no term is decoded. Like the
+// sorted runs, these readers assume the caller holds the store read lock,
+// so a feature sweep sees one consistent store version.
 
-// NodeFeatures is the topology feature row of one node: its live edge
-// counts and the sizes of its 1+2-hop neighborhoods (distinct nodes
-// reachable in at most two hops, excluding the node itself, capped).
+// NodeFeatures is the topology feature row of one node: its edge counts
+// and the sizes of its 1+2-hop neighborhoods (distinct nodes reachable in
+// at most two hops, excluding the node itself, capped).
 type NodeFeatures struct {
 	Node      ID
 	OutDegree int
@@ -18,8 +20,8 @@ type NodeFeatures struct {
 }
 
 // NodeFeatures computes the topology features of node over the given
-// graphs (all graphs when the list is empty). Degrees count live edges
-// per graph — a triple stored in two graphs counts twice, matching how
+// graphs (all graphs when the list is empty). Degrees count edges per
+// graph — a triple stored in two graphs counts twice, matching how
 // pattern matching sees the union. hopCap bounds each 2-hop count; 0
 // means unbounded. The caller must hold the store read lock.
 func (s *Store) NodeFeatures(graphURIs []string, node ID, hopCap int) NodeFeatures {
@@ -49,71 +51,29 @@ func (s *Store) graphList(uris []string) []*Graph {
 	return gs
 }
 
-// degree counts the live out-edges (from the SPO index) or in-edges (from
-// the OSP index) of node. Tombstone-free graphs count raw adjacency slice
-// lengths without touching individual triples.
+// degree counts the out-edges (an SPO range length) or in-edges (an OSP
+// range length) of node.
 func (g *Graph) degree(node ID, out bool) int {
-	n := 0
+	x := &g.ix.osp
 	if out {
-		for p, objs := range g.spo[node] {
-			if len(g.dead) == 0 {
-				n += len(objs)
-				continue
-			}
-			for _, o := range objs {
-				if !g.isDead(IDTriple{S: node, P: p, O: o}) {
-					n++
-				}
-			}
-		}
-		return n
+		x = &g.ix.spo
 	}
-	for s, preds := range g.osp[node] {
-		if len(g.dead) == 0 {
-			n += len(preds)
-			continue
-		}
-		for _, p := range preds {
-			if !g.isDead(IDTriple{S: s, P: p, O: node}) {
-				n++
-			}
-		}
-	}
-	return n
+	lo, hi := x.positions(node)
+	return hi - lo
 }
 
-// neighborIDs returns the sorted distinct live out- (or in-) neighbors of
-// node. Sorting makes capped 2-hop counts deterministic: the cap always
-// cuts the same expansion order regardless of map iteration.
+// neighborIDs returns the sorted distinct out- (or in-) neighbors of node.
+// Sorting makes capped 2-hop counts deterministic: the cap always cuts the
+// same expansion order.
 func (g *Graph) neighborIDs(node ID, out bool) []ID {
-	seen := map[ID]struct{}{}
-	var ids []ID
-	add := func(v ID) {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			ids = append(ids, v)
-		}
+	if !out {
+		// The OSP level-2 keys under node are its distinct subjects.
+		return g.ix.osp.keysOf(node)
 	}
-	if out {
-		for p, objs := range g.spo[node] {
-			for _, o := range objs {
-				if !g.isDead(IDTriple{S: node, P: p, O: o}) {
-					add(o)
-				}
-			}
-		}
-	} else {
-		for s, preds := range g.osp[node] {
-			for _, p := range preds {
-				if !g.isDead(IDTriple{S: s, P: p, O: node}) {
-					add(s)
-					break
-				}
-			}
-		}
-	}
-	sortIDs(ids)
-	return ids
+	lo, hi := g.ix.spo.positions(node)
+	ids := slices.Clone(g.ix.spo.ids[lo:hi])
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // neighborUnion merges per-graph neighbor sets into one sorted distinct
@@ -132,7 +92,7 @@ func neighborUnion(gs []*Graph, node ID, out bool) []ID {
 			}
 		}
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	return ids
 }
 

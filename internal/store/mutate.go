@@ -34,26 +34,14 @@ type ApplyResult struct {
 	Version uint64
 }
 
-// compactionThreshold triggers automatic compaction of a graph inside
-// ApplyBatch when tombstones reach a quarter of the physical triples (and at
-// least compactionMinDead, below which the filtered scans are cheaper than a
-// rebuild).
-const (
-	compactionMinDead = 64
-)
-
-// needsCompaction reports whether the graph's tombstones have accumulated
-// past the auto-compaction threshold.
-func (g *Graph) needsCompaction() bool {
-	return len(g.dead) >= compactionMinDead && len(g.dead)*4 >= len(g.all)
-}
-
 // ApplyBatch applies a mutation batch atomically: all ops under one write
 // lock, one version advance per changed triple issued at the end, one stats
 // epoch check. Invalid triples are rejected before any op is applied, so a
-// batch either applies completely or not at all. Graphs whose tombstones
-// cross the compaction threshold are compacted in the same critical section.
+// batch either applies completely or not at all.
 //
+// The ops are counted as if applied one by one — an insert counts when the
+// triple is absent at that point of the batch, a delete when it is present
+// — and each touched graph then takes the batch's net effect in one write.
 // Deletes of absent triples and duplicate inserts are silent no-ops; a batch
 // where every op is a no-op leaves the version unchanged (and cached results
 // stay exactly valid, because the logical content did not move).
@@ -70,39 +58,58 @@ func (s *Store) ApplyBatch(ops []UpdateOp) (ApplyResult, error) {
 	defer s.mu.Unlock()
 	var res ApplyResult
 	newGraph := false
-	touched := make(map[*Graph]struct{}, 2)
+	// present tracks, per touched graph, whether each triple the batch
+	// names is in the graph after the ops so far.
+	present := make(map[*Graph]map[IDTriple]bool, 2)
+	var touched []*Graph
 	for _, op := range ops {
+		var g *Graph
+		var t IDTriple
 		if op.Insert {
-			g, created := s.ensureGraph(op.Graph)
+			var created bool
+			g, created = s.ensureGraph(op.Graph)
 			newGraph = newGraph || created
-			if g.add(IDTriple{s.dict.Encode(op.Triple.S), s.dict.Encode(op.Triple.P), s.dict.Encode(op.Triple.O)}) {
-				res.Inserted++
-				s.total++
-				touched[g] = struct{}{}
+			t = IDTriple{s.dict.Encode(op.Triple.S), s.dict.Encode(op.Triple.P), s.dict.Encode(op.Triple.O)}
+		} else {
+			g = s.graphs[op.Graph]
+			// A triple whose terms were never interned cannot be in the store.
+			sID, ok1 := s.dict.Lookup(op.Triple.S)
+			pID, ok2 := s.dict.Lookup(op.Triple.P)
+			oID, ok3 := s.dict.Lookup(op.Triple.O)
+			if g == nil || !ok1 || !ok2 || !ok3 {
+				continue
 			}
-			continue
+			t = IDTriple{sID, pID, oID}
 		}
-		g := s.graphs[op.Graph]
-		if g == nil {
-			continue
+		state := present[g]
+		if state == nil {
+			state = make(map[IDTriple]bool)
+			present[g] = state
+			touched = append(touched, g)
 		}
-		// A triple whose terms were never interned cannot be in the store.
-		sID, ok1 := s.dict.Lookup(op.Triple.S)
-		pID, ok2 := s.dict.Lookup(op.Triple.P)
-		oID, ok3 := s.dict.Lookup(op.Triple.O)
-		if !ok1 || !ok2 || !ok3 {
-			continue
+		in, seen := state[t]
+		if !seen {
+			in = g.ix.contains(t)
 		}
-		if g.delete(IDTriple{sID, pID, oID}) {
+		switch {
+		case op.Insert && !in:
+			res.Inserted++
+		case !op.Insert && in:
 			res.Deleted++
-			s.total--
-			touched[g] = struct{}{}
 		}
+		state[t] = op.Insert
 	}
-	for g := range touched {
-		if g.needsCompaction() {
-			g.compact()
+	for _, g := range touched {
+		var ins, del []IDTriple
+		for t, in := range present[g] {
+			switch was := g.ix.contains(t); {
+			case in && !was:
+				ins = append(ins, t)
+			case !in && was:
+				del = append(del, t)
+			}
 		}
+		s.total += g.write(ins, del)
 	}
 	if delta := res.Inserted + res.Deleted; delta > 0 {
 		// One advance per changed triple, issued after the whole batch: the
@@ -116,10 +123,10 @@ func (s *Store) ApplyBatch(ops []UpdateOp) (ApplyResult, error) {
 }
 
 // DeleteTriples removes the given dictionary-encoded triples from the named
-// graph under one write-lock hold, reporting how many were present (and are
-// now tombstoned). The version advances once per removed triple at the end,
-// like ApplyBatch. Used by the update evaluator's DELETE WHERE path, whose
-// bindings are already in id space.
+// graph in one write, reporting how many distinct triples were present. The
+// version advances once per removed triple, like ApplyBatch. Used by the
+// update evaluator's DELETE WHERE path, whose bindings are already in id
+// space.
 func (s *Store) DeleteTriples(graphURI string, triples []IDTriple) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -127,17 +134,17 @@ func (s *Store) DeleteTriples(graphURI string, triples []IDTriple) int {
 	if g == nil {
 		return 0
 	}
-	n := 0
+	seen := make(map[IDTriple]struct{}, len(triples))
+	var del []IDTriple
 	for _, t := range triples {
-		if g.delete(t) {
-			n++
+		if _, dup := seen[t]; !dup && g.ix.contains(t) {
+			seen[t] = struct{}{}
+			del = append(del, t)
 		}
 	}
+	n := -g.write(nil, del)
 	if n > 0 {
 		s.total -= n
-		if g.needsCompaction() {
-			g.compact()
-		}
 		s.version.Add(uint64(n))
 		s.maybeBumpEpochLocked(false)
 	}

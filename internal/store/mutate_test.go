@@ -55,11 +55,11 @@ func TestApplyBatchInsertDelete(t *testing.T) {
 		t.Fatalf("Len after delete = %d, want 1", s.Len())
 	}
 	g := s.Graph(g1)
-	if g.Len() != 1 || g.Tombstones() != 1 {
-		t.Fatalf("graph live=%d tombstones=%d, want 1 and 1", g.Len(), g.Tombstones())
+	if g.Len() != 1 || g.Tombstones() != 0 {
+		t.Fatalf("graph len=%d tombstones=%d, want 1 and 0 (deletes are physical)", g.Len(), g.Tombstones())
 	}
 	if got := matchAll(g); len(got) != 1 {
-		t.Fatalf("Match streams %d triples past a tombstone, want 1", len(got))
+		t.Fatalf("Match streams %d triples after a delete, want 1", len(got))
 	}
 }
 
@@ -125,19 +125,18 @@ func TestDeleteReviveKeepsStreamOrder(t *testing.T) {
 	if got := g.Triples(); len(got) != 2 {
 		t.Fatalf("live triples = %d, want 2", len(got))
 	}
-	// Re-inserting a tombstoned triple revives it in place: the stream order
-	// (and therefore deterministic result order) matches the original.
+	// Re-inserting a deleted triple restores the original stream: iteration
+	// order is permutation order, a function of the triple set alone.
 	if _, err := s.ApplyBatch([]UpdateOp{insOp(g1, b)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := g.Triples(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("revive changed stream order:\nbefore %v\nafter  %v", before, got)
-	}
-	if g.Tombstones() != 0 {
-		t.Fatalf("tombstones = %d after revive, want 0", g.Tombstones())
+		t.Fatalf("delete and re-insert changed stream order:\nbefore %v\nafter  %v", before, got)
 	}
 }
 
+// TestTombstonesFilteredEverywhere checks that deleted triples are gone from
+// every access path.
 func TestTombstonesFilteredEverywhere(t *testing.T) {
 	s := New()
 	p := iri("p")
@@ -158,7 +157,7 @@ func TestTombstonesFilteredEverywhere(t *testing.T) {
 	if got := matchAll(g); len(got) != 10 {
 		t.Fatalf("Match sees %d triples, want 10", len(got))
 	}
-	// MatchParts must filter tombstones inside every part.
+	// No part of MatchParts may stream a deleted triple.
 	n := 0
 	for _, part := range s.MatchParts([]string{g1}, IDTriple{}, 3) {
 		part(func(IDTriple) bool { n++; return true })
@@ -166,14 +165,12 @@ func TestTombstonesFilteredEverywhere(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("MatchParts streams %d triples, want 10", n)
 	}
-	// Sorted runs must exclude dead ids and stay ascending.
+	// Sorted runs must exclude deleted ids and stay ascending.
 	subs := g.SubjectsOfPred(pID)
 	if len(subs) != 10 {
 		t.Fatalf("SubjectsOfPred = %d subjects, want 10", len(subs))
 	}
-	if !ascending(subs) {
-		t.Fatalf("SubjectsOfPred run not ascending: %v", subs)
-	}
+	assertRun(t, subs)
 	for _, sid := range subs {
 		if got := g.ObjectsSP(sid, pID); len(got) != 1 {
 			t.Fatalf("ObjectsSP(%d) = %d objects, want 1", sid, len(got))
@@ -182,73 +179,7 @@ func TestTombstonesFilteredEverywhere(t *testing.T) {
 	// Deleted subject: its run must be empty.
 	deadS, _ := s.Dict().Lookup(iri("s00"))
 	if got := g.ObjectsSP(deadS, pID); len(got) != 0 {
-		t.Fatalf("ObjectsSP of tombstoned subject = %v, want empty", got)
-	}
-}
-
-func TestAutoCompactionTrigger(t *testing.T) {
-	s := New()
-	var ins []UpdateOp
-	for i := 0; i < 256; i++ {
-		ins = append(ins, insOp(g1, rdf.Triple{S: iri(fmt.Sprintf("s%03d", i)), P: iri("p"), O: iri("o")}))
-	}
-	if _, err := s.ApplyBatch(ins); err != nil {
-		t.Fatal(err)
-	}
-	g := s.Graph(g1)
-	liveWant := make([]IDTriple, 0, 192)
-	for i, t0 := range g.Triples() {
-		if i%4 != 0 {
-			liveWant = append(liveWant, t0)
-		}
-	}
-	// Tombstone a quarter (64 = compactionMinDead, 64*4 >= 256): the batch
-	// itself must compact the graph.
-	var dels []UpdateOp
-	for i := 0; i < 256; i += 4 {
-		dels = append(dels, delOp(g1, rdf.Triple{S: iri(fmt.Sprintf("s%03d", i)), P: iri("p"), O: iri("o")}))
-	}
-	res, err := s.ApplyBatch(dels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Deleted != 64 {
-		t.Fatalf("Deleted = %d, want 64", res.Deleted)
-	}
-	if g.Tombstones() != 0 {
-		t.Fatalf("auto-compaction did not run: %d tombstones remain", g.Tombstones())
-	}
-	if got := g.Triples(); !reflect.DeepEqual(got, liveWant) {
-		t.Fatalf("compaction broke insertion order: got %d triples", len(got))
-	}
-}
-
-func TestCompactionDoesNotMoveVersion(t *testing.T) {
-	s := New()
-	for i := 0; i < 10; i++ {
-		mustAdd(t, s, g1, rdf.Triple{S: iri(fmt.Sprintf("s%d", i)), P: iri("p"), O: iri("o")})
-	}
-	var dels []UpdateOp
-	for i := 0; i < 3; i++ {
-		dels = append(dels, delOp(g1, rdf.Triple{S: iri(fmt.Sprintf("s%d", i)), P: iri("p"), O: iri("o")}))
-	}
-	if _, err := s.ApplyBatch(dels); err != nil {
-		t.Fatal(err)
-	}
-	g := s.Graph(g1)
-	v := s.Version()
-	live := append([]IDTriple(nil), g.Triples()...)
-	if !s.CompactGraph(g1) {
-		t.Fatal("CompactGraph found nothing to do with 3 tombstones")
-	}
-	if s.Version() != v {
-		t.Fatalf("compaction moved the version %d -> %d; cached results would be dropped for nothing", v, s.Version())
-	}
-	if got := g.Triples(); !reflect.DeepEqual(got, live) {
-		t.Fatal("compaction changed the live stream")
-	}
-	if s.CompactGraph(g1) {
-		t.Fatal("second CompactGraph reported work on a clean graph")
+		t.Fatalf("ObjectsSP of deleted subject = %v, want empty", got)
 	}
 }
 

@@ -67,13 +67,13 @@ func TestMatchPartsEqualsMatchAny(t *testing.T) {
 	}
 	sub, pred, obj := id("s", 3), id("p", 2), id("o", 11)
 	pats := []IDTriple{
-		{},                // full scan
-		{S: sub},          // S only (sorted-key walk)
-		{P: pred},         // P only (byPred slice)
-		{O: obj},          // O only (sorted-key walk)
-		{S: sub, P: pred}, // SPO adjacency slice
-		{P: pred, O: obj}, // POS adjacency slice
-		{S: sub, O: obj},  // OSP adjacency slice
+		{},                // full scan (SPO)
+		{S: sub},          // S only (SPO range)
+		{P: pred},         // P only (PSO range)
+		{O: obj},          // O only (OSP range)
+		{S: sub, P: pred}, // SPO leaf
+		{P: pred, O: obj}, // POS leaf
+		{S: sub, O: obj},  // OSP leaf
 	}
 	// A fully-bound pattern that exists.
 	full := collectMatch(s, nil, IDTriple{S: sub})

@@ -38,10 +38,12 @@ func assertRun(t *testing.T, r Run) {
 func TestRunsSortedAndDuplicateFree(t *testing.T) {
 	g := runGraph(t)
 	var p1, p2 ID
-	// Resolve ids through the graph's own indexes: the predicate with three
-	// distinct subjects is p1.
-	for p, n := range g.predSubj {
-		switch n {
+	// Resolve ids by matching: the predicate with three distinct subjects
+	// is p1, the one with a single subject p2.
+	for p := ID(1); p <= 8; p++ {
+		subjects := map[ID]bool{}
+		g.Match(IDTriple{P: p}, func(t IDTriple) bool { subjects[t.S] = true; return true })
+		switch len(subjects) {
 		case 3:
 			p1 = p
 		case 1:
@@ -49,7 +51,7 @@ func TestRunsSortedAndDuplicateFree(t *testing.T) {
 		}
 	}
 	if p1 == 0 || p2 == 0 {
-		t.Fatalf("did not resolve predicate ids (predSubj=%v)", g.predSubj)
+		t.Fatalf("did not resolve predicate ids (p1=%d p2=%d)", p1, p2)
 	}
 
 	subs := g.SubjectsOfPred(p1)
@@ -65,10 +67,10 @@ func TestRunsSortedAndDuplicateFree(t *testing.T) {
 	assertRun(t, objs)
 
 	// One subject (s2) has three objects under p1, inserted out of order; its
-	// run must be a sorted copy, not the insertion-ordered index slice.
+	// run must come out sorted.
 	var r Run
 	for _, s := range subs {
-		if len(g.spo[s][p1]) == 3 {
+		if g.Cardinality(IDTriple{S: s, P: p1}) == 3 {
 			r = g.ObjectsSP(s, p1)
 		}
 	}
@@ -81,10 +83,10 @@ func TestRunsSortedAndDuplicateFree(t *testing.T) {
 		assertRun(t, g.SubjectsPO(p1, o))
 	}
 
-	// Memoization: same run value back on the second call.
+	// Runs are views of the index: the same memory on every call.
 	again := g.SubjectsOfPred(p1)
 	if &again[0] != &subs[0] {
-		t.Fatal("SubjectsOfPred not memoized across calls")
+		t.Fatal("SubjectsOfPred copied instead of serving the index")
 	}
 	_ = p2
 }
@@ -107,6 +109,8 @@ func TestRunsEmpty(t *testing.T) {
 	}
 }
 
+// TestRunCacheInvalidatedByAdd checks that a run read after an Add reflects
+// it.
 func TestRunCacheInvalidatedByAdd(t *testing.T) {
 	s := New()
 	add := func(subj string) {
@@ -126,7 +130,7 @@ func TestRunCacheInvalidatedByAdd(t *testing.T) {
 	}
 	add("b")
 	if n := len(g.SubjectsOfPred(p)); n != 2 {
-		t.Fatalf("run after insert has %d subjects, want 2 (stale cache served)", n)
+		t.Fatalf("run after insert has %d subjects, want 2 (stale run served)", n)
 	}
 }
 

@@ -7,14 +7,11 @@ import "sync/atomic"
 // per-graph totals, and a coarse "stats epoch" that advances only when the
 // data distribution shifts enough to make replanning worthwhile.
 //
-// Almost everything the catalog reports is an O(1) read off the indexes the
-// store already maintains: len(pos[p]) is the distinct object count of
-// predicate p, len(byPred[p]) its triple count, len(spo)/len(osp) the
-// graph's distinct subject/object totals. The one number that is not
-// directly an index length — distinct subjects per predicate — is kept as a
-// counter map updated on every insert (the first triple of an (s, p) group
-// increments it) and derived in one pass from the SPO image on bulk
-// installs, or installed directly from a version-2 snapshot's stats section.
+// Every number the catalog reports is a range length in the graph's index:
+// a predicate's triple count is the length of its PSO range, its distinct
+// subjects and objects the number of level-2 keys under it in PSO and POS,
+// and a graph's distinct subjects and objects the number of level-1 ids
+// with triples in SPO and OSP.
 
 // PredicateStats describes one predicate within a graph.
 type PredicateStats struct {
@@ -93,11 +90,7 @@ func (s *Store) maybeBumpEpochLocked(newGraph bool) {
 	}
 }
 
-// buildStatsLocked assembles a stats snapshot from index lengths. On a
-// graph carrying tombstones the index-length counts (per-predicate triples,
-// distinct subjects/objects) are upper bounds — tombstoned entries stay in
-// the physical indexes until compaction — which is the safe direction for
-// selectivity estimation; g.n (the live count) is always exact.
+// buildStatsLocked assembles a stats snapshot from the graphs' indexes.
 func (s *Store) buildStatsLocked() *Stats {
 	st := &Stats{
 		Version: s.version.Load(),
@@ -105,21 +98,22 @@ func (s *Store) buildStatsLocked() *Stats {
 		Graphs:  make(map[string]*GraphStats, len(s.graphs)),
 	}
 	for uri, g := range s.graphs {
+		ix := g.ix
 		gs := &GraphStats{
-			Triples:          g.n,
-			DistinctSubjects: len(g.spo),
-			DistinctObjects:  len(g.osp),
-			Predicates:       make(map[ID]PredicateStats, len(g.pos)),
+			Triples:          g.Len(),
+			DistinctSubjects: len(ix.spo.firsts),
+			DistinctObjects:  len(ix.osp.firsts),
+			Predicates:       make(map[ID]PredicateStats),
 		}
-		for p, objs := range g.pos {
+		ix.pso.eachKey(func(p ID, lo, hi int) {
 			gs.Predicates[p] = PredicateStats{
-				Triples:          len(g.byPred[p]),
-				DistinctSubjects: g.predSubj[p],
-				DistinctObjects:  len(objs),
+				Triples:          hi - lo,
+				DistinctSubjects: len(ix.pso.keysOf(p)),
+				DistinctObjects:  len(ix.pos.keysOf(p)),
 			}
-		}
+		})
 		st.Graphs[uri] = gs
-		st.TotalTriples += g.n
+		st.TotalTriples += gs.Triples
 	}
 	return st
 }
@@ -164,23 +158,6 @@ func (st *Stats) each(graphURIs []string, f func(*GraphStats)) {
 			f(gs)
 		}
 	}
-}
-
-// DistinctSubjectsByPredicate exposes the graph's per-predicate distinct
-// subject counters for serialization (the snapshot stats section). The map
-// aliases the graph's internal storage and must not be modified.
-func (g *Graph) DistinctSubjectsByPredicate() map[ID]int { return g.predSubj }
-
-// derivePredSubjects counts the distinct subjects of every predicate from an
-// SPO adjacency image in one pass.
-func derivePredSubjects(spo map[ID]map[ID][]ID) map[ID]int {
-	out := make(map[ID]int, 64)
-	for _, inner := range spo {
-		for p := range inner {
-			out[p]++
-		}
-	}
-	return out
 }
 
 // statsCachePtr keeps the Store struct declaration readable.

@@ -1,12 +1,14 @@
 // Package store implements an in-memory RDF quad store: a dictionary that
-// encodes terms as dense integer ids plus per-graph triple indexes (SPO, POS,
-// OSP) that answer every triple-pattern access path the SPARQL evaluator
-// needs. The store is the substitute for the paper's Virtuoso engine.
+// encodes terms as dense integer ids plus, per graph, one sorted index of
+// four permutations (SPO, PSO, POS, OSP) that answers every triple-pattern
+// access path the SPARQL evaluator needs. The store is the substitute for
+// the paper's Virtuoso engine.
 //
-// Mutations (Add, AddAll, the Load* methods, bulk/snapshot installs)
-// serialize on an internal write lock and bump a monotonic version counter;
-// readers that must not observe a store mid-mutation (the query evaluator)
-// bracket their work with RLock/RUnlock. Version() lets caches key results
+// Mutations (Add, AddAll, the Load* methods, bulk/snapshot installs,
+// ApplyBatch, DeleteTriples) serialize on an internal write lock, rebuild
+// the touched graphs' indexes in one step each, and bump a monotonic
+// version counter; readers that must not observe a store mid-mutation (the
+// query evaluator) bracket their work with RLock/RUnlock. Version() lets caches key results
 // to an exact store state: any mutation moves the version, so a cached
 // entry from an older version can never be served as current.
 package store
@@ -14,6 +16,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,213 +122,26 @@ type IDTriple struct {
 	S, P, O ID
 }
 
-// Graph is one named graph: an indexed set of encoded triples. Iteration
-// over any access path is deterministic (insertion order or sorted keys) so
-// that repeated queries return rows in the same order, which the client's
-// LIMIT/OFFSET pagination relies on.
-//
-// Deletes are tombstones: the physical structures (all, byPred, the
-// adjacency lists) keep the triple, and every read path skips members of
-// dead. The live stream over any access path is therefore the append-only
-// stream with dead triples filtered out — the same relative order — which
-// keeps deterministic iteration (and byte-identical query results) through
-// deletes and compaction alike. Compaction (compact.go) rebuilds the
-// physical representation from the live triples and drops the tombstones.
+// Graph is one named graph: a set of encoded triples behind one immutable
+// index (see index.go). Iteration over any access path follows the order of
+// the permutation that serves it, so it is deterministic: repeated queries
+// return rows in the same order, which the client's LIMIT/OFFSET
+// pagination relies on.
 type Graph struct {
-	spo    map[ID]map[ID][]ID    // subject -> predicate -> objects
-	pos    map[ID]map[ID][]ID    // predicate -> object -> subjects
-	osp    map[ID]map[ID][]ID    // object -> subject -> predicates
-	byPred map[ID][]IDTriple     // predicate -> triples in insertion order
-	all    []IDTriple            // every triple in insertion order
-	set    map[IDTriple]struct{} // live membership, for O(1) duplicate checks
-	// dead holds tombstoned triples: still present in the physical indexes,
-	// skipped by every read path. nil/empty on a graph with no deletes, so
-	// the append-only hot paths pay only a len check.
-	dead map[IDTriple]struct{}
-	// predSubj counts the distinct live subjects per predicate — the one
-	// catalog statistic not readable as an index length (see stats.go).
-	predSubj map[ID]int
-	n        int // live triple count: len(all) minus tombstones
-
-	// mut counts mutations (inserts, deletes, compactions) and keys the
-	// sorted-run memo cache: unlike the triple count, it can never return to
-	// a previous value, so an insert+delete pair cannot alias a stale memo.
-	mut uint64
-
-	// runMu guards the sorted-run memo cache (see runs.go): runs holds the
-	// derived runs built for the graph state at mutation count runMut, and a
-	// mismatch with mut discards the cache wholesale.
-	runMu  sync.Mutex
-	runs   map[runKey][]ID
-	runMut uint64
+	ix *index
 }
 
-func newGraph() *Graph {
-	return &Graph{
-		spo:      make(map[ID]map[ID][]ID),
-		pos:      make(map[ID]map[ID][]ID),
-		osp:      make(map[ID]map[ID][]ID),
-		byPred:   make(map[ID][]IDTriple),
-		set:      make(map[IDTriple]struct{}),
-		predSubj: make(map[ID]int),
-	}
-}
+func newGraph() *Graph { return &Graph{ix: newIndex(nil)} }
 
 // Len returns the number of triples in the graph.
-func (g *Graph) Len() int { return g.n }
+func (g *Graph) Len() int { return len(g.ix.spo.ids) }
 
-// Triples returns every live triple in insertion order. With no tombstones
-// the returned slice aliases the graph's internal storage and must not be
-// modified; after deletes it is a fresh filtered copy.
-func (g *Graph) Triples() []IDTriple {
-	if len(g.dead) == 0 {
-		return g.all
-	}
-	out := make([]IDTriple, 0, g.n)
-	for _, t := range g.all {
-		if !g.isDead(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+// Triples returns every triple in SPO order as a fresh slice.
+func (g *Graph) Triples() []IDTriple { return g.ix.spo.all() }
 
-// IndexImage exposes the graph's three adjacency indexes for serialization.
-// The maps alias the graph's internal storage and must not be modified.
-func (g *Graph) IndexImage() (spo, pos, osp map[ID]map[ID][]ID) {
-	return g.spo, g.pos, g.osp
-}
-
-// isDead reports whether t is tombstoned.
-func (g *Graph) isDead(t IDTriple) bool {
-	if len(g.dead) == 0 {
-		return false
-	}
-	_, gone := g.dead[t]
-	return gone
-}
-
-// contains reports whether the graph holds the fully-bound triple (live —
-// tombstoned triples are absent). Sealed graphs (bulk-loaded from a
-// snapshot, set == nil) scan the (s,p) group instead of keeping a
-// membership map; the fan-out of a single (s,p) pair is small, and skipping
-// the map build is a large part of why reopening a snapshot beats
-// re-parsing.
-func (g *Graph) contains(t IDTriple) bool {
-	if g.isDead(t) {
-		return false
-	}
-	if g.set == nil {
-		for _, o := range g.spo[t.S][t.P] {
-			if o == t.O {
-				return true
-			}
-		}
-		return false
-	}
-	_, ok := g.set[t]
-	return ok
-}
-
-// unseal materializes the live membership set of a bulk-loaded graph so
-// that incremental adds get back their O(1) duplicate check.
-func (g *Graph) unseal() {
-	g.set = make(map[IDTriple]struct{}, len(g.all))
-	for _, t := range g.all {
-		if !g.isDead(t) {
-			g.set[t] = struct{}{}
-		}
-	}
-}
-
-// liveInSP counts the live triples of the (s, p) adjacency group — the
-// distinct-subject bookkeeping delete and revive need. O(fan-out of one
-// (s, p) pair), which is small.
-func (g *Graph) liveInSP(s, p ID) int {
-	n := 0
-	for _, o := range g.spo[s][p] {
-		if !g.isDead(IDTriple{s, p, o}) {
-			n++
-		}
-	}
-	return n
-}
-
-// add inserts t and reports whether the graph changed (false for a
-// duplicate, which RDF set semantics ignore). Re-inserting a tombstoned
-// triple revives it in place: the physical indexes still hold it, so only
-// the tombstone is removed — the triple keeps its original stream position,
-// preserving deterministic iteration order.
-func (g *Graph) add(t IDTriple) bool {
-	if g.set == nil {
-		g.unseal()
-	}
-	// A set membership check rather than a scan of spo[s][p]: the scan made
-	// bulk loading quadratic in the fan-out of each (s,p) group.
-	if g.contains(t) {
-		return false
-	}
-	if g.isDead(t) {
-		// Revive: the (s, p) group regains a distinct subject only if every
-		// other triple of the group is still tombstoned.
-		if g.liveInSP(t.S, t.P) == 0 {
-			g.predSubj[t.P]++
-		}
-		delete(g.dead, t)
-		g.set[t] = struct{}{}
-		g.n++
-		g.mut++
-		return true
-	}
-	g.set[t] = struct{}{}
-	if g.liveInSP(t.S, t.P) == 0 {
-		// First live triple of this (s, p) group: a new distinct subject for P.
-		g.predSubj[t.P]++
-	}
-	idxAdd(g.spo, t.S, t.P, t.O)
-	idxAdd(g.pos, t.P, t.O, t.S)
-	idxAdd(g.osp, t.O, t.S, t.P)
-	g.byPred[t.P] = append(g.byPred[t.P], t)
-	g.all = append(g.all, t)
-	g.n++
-	g.mut++
-	return true
-}
-
-// delete tombstones t and reports whether the graph changed (false when the
-// triple is absent or already deleted). The physical indexes keep the
-// triple until compaction; every read path consults the tombstone set.
-func (g *Graph) delete(t IDTriple) bool {
-	if !g.contains(t) {
-		return false
-	}
-	if g.dead == nil {
-		g.dead = make(map[IDTriple]struct{})
-	}
-	g.dead[t] = struct{}{}
-	if g.set != nil {
-		delete(g.set, t)
-	}
-	g.n--
-	g.mut++
-	if g.liveInSP(t.S, t.P) == 0 {
-		// Last live triple of its (s, p) group: predicate P loses a distinct
-		// subject.
-		if g.predSubj[t.P]--; g.predSubj[t.P] <= 0 {
-			delete(g.predSubj, t.P)
-		}
-	}
-	return true
-}
-
-func idxAdd(m map[ID]map[ID][]ID, a, b, c ID) {
-	inner, ok := m[a]
-	if !ok {
-		inner = make(map[ID][]ID)
-		m[a] = inner
-	}
-	inner[b] = append(inner[b], c)
-}
+// Tombstones is always 0: deletes are physical, so no deleted triple is
+// ever held in the index. It remains for callers that report the figure.
+func (g *Graph) Tombstones() int { return 0 }
 
 // Store holds a dictionary and a set of named graphs.
 type Store struct {
@@ -405,209 +221,154 @@ func (s *Store) ensureGraph(uri string) (g *Graph, created bool) {
 // Add inserts one triple into the named graph (duplicates are ignored,
 // matching RDF set semantics for a graph).
 func (s *Store) Add(graphURI string, t rdf.Triple) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addLocked(graphURI, t)
+	return s.AddAll(graphURI, []rdf.Triple{t})
 }
 
-// addLocked is Add with the write lock already held.
-func (s *Store) addLocked(graphURI string, t rdf.Triple) error {
-	if !t.Valid() {
-		return fmt.Errorf("store: invalid triple %s", t)
-	}
-	g, created := s.ensureGraph(graphURI)
-	if g.add(IDTriple{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}) {
-		s.version.Add(1)
-		s.total++
-	}
-	s.maybeBumpEpochLocked(created)
-	return nil
-}
-
-// AddAll inserts all triples into the named graph.
+// AddAll inserts all triples into the named graph in one write. An invalid
+// triple stops the encoding: the triples before it are inserted and the
+// error is returned.
 func (s *Store) AddAll(graphURI string, triples []rdf.Triple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ts := make([]IDTriple, 0, len(triples))
+	var err error
 	for _, t := range triples {
-		if err := s.addLocked(graphURI, t); err != nil {
-			return err
+		var id IDTriple
+		if id, err = s.encode(t); err != nil {
+			break
 		}
+		ts = append(ts, id)
 	}
-	return nil
+	s.insertLocked(graphURI, ts)
+	return err
+}
+
+// encode interns t's terms. Callers hold the write lock.
+func (s *Store) encode(t rdf.Triple) (IDTriple, error) {
+	if !t.Valid() {
+		return IDTriple{}, fmt.Errorf("store: invalid triple %s", t)
+	}
+	return IDTriple{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}, nil
+}
+
+// insertLocked adds ts (duplicates and present triples allowed) to the
+// named graph through the one write step, creating the graph if ts is
+// non-empty. The version advances once per triple actually inserted.
+func (s *Store) insertLocked(graphURI string, ts []IDTriple) {
+	if len(ts) == 0 {
+		return
+	}
+	g, created := s.ensureGraph(graphURI)
+	n := g.write(slices.DeleteFunc(ts, g.ix.contains), nil)
+	s.version.Add(uint64(n))
+	s.total += n
+	s.maybeBumpEpochLocked(created)
+}
+
+// write is the one step every mutation of a graph goes through: it builds
+// the index with ins added and del removed and swaps it in, returning the
+// change in triple count. del must hold only present triples; ins may
+// repeat triples. Callers hold the write lock.
+func (g *Graph) write(ins, del []IDTriple) int {
+	if len(ins) == 0 && len(del) == 0 {
+		return 0
+	}
+	before := g.Len()
+	g.ix = g.ix.apply(ins, del)
+	return g.Len() - before
 }
 
 // BulkGraph installs a complete graph from dictionary-encoded triples in
-// one step, deriving the indexes here and delegating the install to
-// BulkGraphIndexed. The caller guarantees the triples are duplicate-free;
-// only id validity is checked. The graph is built "sealed" — without the
-// duplicate-check membership set — which a later incremental Add rebuilds
-// lazily. BulkGraph takes ownership of the triples slice.
+// one step: ids are checked against the dictionary, and the index build
+// sorts the triples and drops duplicates. The graph must be absent or
+// empty. BulkGraph only reads the triples slice.
 func (s *Store) BulkGraph(graphURI string, triples []IDTriple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	maxID := ID(s.dict.Len())
-	spo := make(map[ID]map[ID][]ID, len(triples)/4+1)
-	pos := make(map[ID]map[ID][]ID, 64)
-	osp := make(map[ID]map[ID][]ID, len(triples)/4+1)
 	for _, t := range triples {
 		if t.S == 0 || t.S > maxID || t.P == 0 || t.P > maxID || t.O == 0 || t.O > maxID {
 			return fmt.Errorf("store: triple (%d %d %d) references an id outside the %d-term dictionary", t.S, t.P, t.O, maxID)
 		}
-		idxAdd(spo, t.S, t.P, t.O)
-		idxAdd(pos, t.P, t.O, t.S)
-		idxAdd(osp, t.O, t.S, t.P)
 	}
-	return s.bulkGraphIndexedLocked(graphURI, triples, spo, pos, osp, nil)
-}
-
-// BulkGraphIndexed installs a complete graph from its serialized index
-// image — triples in insertion order plus the three adjacency maps — in one
-// step, the snapshot-reopen fast path: no per-triple map insertion happens
-// at all. The caller (the snapshot reader, whose file is checksummed and
-// id-validated) guarantees the image is consistent with the triple list;
-// only the byPred projection is derived here, exactly presized from pos.
-// The graph is installed "sealed" (see BulkGraph) and takes ownership of
-// every argument.
-func (s *Store) BulkGraphIndexed(graphURI string, triples []IDTriple, spo, pos, osp map[ID]map[ID][]ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bulkGraphIndexedLocked(graphURI, triples, spo, pos, osp, nil)
-}
-
-// BulkGraphIndexedStats is BulkGraphIndexed with the per-predicate distinct
-// subject counters supplied by the caller (a version-2 snapshot's stats
-// section), skipping the derivation pass over the SPO image. The table is
-// validated against the POS image: it must cover exactly the graph's
-// predicates with counts in [1, len(triples)].
-func (s *Store) BulkGraphIndexedStats(graphURI string, triples []IDTriple, spo, pos, osp map[ID]map[ID][]ID, predSubj map[ID]int) error {
-	if predSubj == nil {
-		predSubj = map[ID]int{}
-	}
-	if len(predSubj) != len(pos) {
-		return fmt.Errorf("store: stats table covers %d predicates, graph has %d", len(predSubj), len(pos))
-	}
-	for p, n := range predSubj {
-		if _, ok := pos[p]; !ok {
-			return fmt.Errorf("store: stats table names predicate %d absent from the graph", p)
-		}
-		if n < 1 || n > len(triples) {
-			return fmt.Errorf("store: stats table claims %d distinct subjects for predicate %d of a %d-triple graph", n, p, len(triples))
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bulkGraphIndexedLocked(graphURI, triples, spo, pos, osp, predSubj)
-}
-
-// bulkGraphIndexedLocked installs a prebuilt graph; predSubj == nil derives
-// the distinct-subject counters from the SPO image.
-func (s *Store) bulkGraphIndexedLocked(graphURI string, triples []IDTriple, spo, pos, osp map[ID]map[ID][]ID, predSubj map[ID]int) error {
-	if g := s.graphs[graphURI]; g != nil && g.n > 0 {
+	if g := s.graphs[graphURI]; g != nil && g.Len() > 0 {
 		return fmt.Errorf("store: bulk load into non-empty graph <%s>", graphURI)
 	}
-	if predSubj == nil {
-		predSubj = derivePredSubjects(spo)
-	}
-	g := &Graph{
-		spo:      spo,
-		pos:      pos,
-		osp:      osp,
-		byPred:   make(map[ID][]IDTriple, len(pos)),
-		all:      triples,
-		predSubj: predSubj,
-		n:        len(triples),
-	}
-	for p, objs := range pos {
-		n := 0
-		for _, subs := range objs {
-			n += len(subs)
-		}
-		g.byPred[p] = make([]IDTriple, 0, n)
-	}
-	for _, t := range triples {
-		g.byPred[t.P] = append(g.byPred[t.P], t)
-	}
-	s.installGraph(graphURI, g)
-	// One bump per triple installed (so the version tracks data volume like
-	// the incremental path) plus one for the graph install itself, which
-	// changes GraphURIs even when the graph is empty.
-	s.version.Add(uint64(len(triples)) + 1)
-	s.total += len(triples)
-	s.maybeBumpEpochLocked(true)
-	return nil
-}
-
-func (s *Store) installGraph(graphURI string, g *Graph) {
+	g := &Graph{ix: newIndex(triples)}
 	if s.graphs[graphURI] == nil {
 		s.order = append(s.order, graphURI)
 	}
 	s.graphs[graphURI] = g
+	// One bump per triple installed (so the version tracks data volume like
+	// the incremental path) plus one for the graph install itself, which
+	// changes GraphURIs even when the graph is empty.
+	s.version.Add(uint64(g.Len()) + 1)
+	s.total += g.Len()
+	s.maybeBumpEpochLocked(true)
+	return nil
 }
 
 // LoadNTriples parses an N-Triples document from r into the named graph and
-// returns the number of triples loaded.
+// returns the number of triples parsed. On a parse error the triples before
+// it are loaded and the error is returned.
 func (s *Store) LoadNTriples(graphURI string, r io.Reader) (int, error) {
+	return s.load(graphURI, rdf.NewNTriplesReader(r).Read)
+}
+
+// LoadTurtle parses a Turtle document from r into the named graph and
+// returns the number of triples parsed, like LoadNTriples.
+func (s *Store) LoadTurtle(graphURI string, r io.Reader) (int, error) {
+	return s.load(graphURI, rdf.NewTurtleReader(r).Read)
+}
+
+// load encodes every triple read and inserts them in one write.
+func (s *Store) load(graphURI string, read func() (rdf.Triple, error)) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	nr := rdf.NewNTriplesReader(r)
-	n := 0
+	var ts []IDTriple
 	for {
-		t, err := nr.Read()
+		t, err := read()
+		if err == nil {
+			var id IDTriple
+			if id, err = s.encode(t); err == nil {
+				ts = append(ts, id)
+				continue
+			}
+		}
+		s.insertLocked(graphURI, ts)
 		if err == io.EOF {
-			return n, nil
+			err = nil
 		}
-		if err != nil {
-			return n, err
-		}
-		if err := s.addLocked(graphURI, t); err != nil {
-			return n, err
-		}
-		n++
+		return len(ts), err
 	}
 }
 
 // LoadNTriplesParallel parses an N-Triples document with a pool of parser
-// workers and merges the parsed triples into the named graph from this
-// (single writer) goroutine, preserving document order. workers <= 0 uses
-// one worker per available CPU. It returns the number of triples merged.
+// workers, encodes the parsed chunks in document order from this (single
+// writer) goroutine, and inserts them in one write at the end. workers <= 0
+// uses one worker per available CPU. It returns the number of triples
+// encoded.
 func (s *Store) LoadNTriplesParallel(graphURI string, r io.Reader, workers int) (int, error) {
-	n := 0
-	// Lock per merged batch rather than for the whole load, so a long bulk
-	// ingest does not starve concurrent readers for its full duration.
+	var ts []IDTriple
+	// Encoding takes the lock per chunk rather than for the whole load, so
+	// a long ingest does not starve concurrent readers for its full
+	// duration; only the final index build holds it throughout.
 	err := rdf.ParseNTriplesParallel(r, workers, func(batch []rdf.Triple) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for _, t := range batch {
-			if err := s.addLocked(graphURI, t); err != nil {
+			id, err := s.encode(t)
+			if err != nil {
 				return err
 			}
+			ts = append(ts, id)
 		}
-		n += len(batch)
 		return nil
 	})
-	return n, err
-}
-
-// LoadTurtle parses a Turtle document from r into the named graph and
-// returns the number of triples loaded.
-func (s *Store) LoadTurtle(graphURI string, r io.Reader) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tr := rdf.NewTurtleReader(r)
-	n := 0
-	for {
-		t, err := tr.Read()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := s.addLocked(graphURI, t); err != nil {
-			return n, err
-		}
-		n++
-	}
+	s.insertLocked(graphURI, ts)
+	return len(ts), err
 }
 
 // Len returns the total number of triples across all graphs.
@@ -651,129 +412,62 @@ func (s *Store) MatchAny(graphURIs []string, pat IDTriple, yield func(IDTriple) 
 	}
 }
 
-// Match streams every live triple in the graph matching the pattern, where
-// a zero ID is a wildcard. The callback returns false to stop iteration.
-// Tombstoned triples are filtered out of every access path by one wrapper
-// installed only when the graph has tombstones, so the append-only hot path
-// pays a single len check.
+// Match streams every triple in the graph matching the pattern, where a
+// zero ID is a wildcard, in the order of the permutation serving the
+// pattern's bound positions. The callback returns false to stop iteration.
 func (g *Graph) Match(pat IDTriple, yield func(IDTriple) bool) {
-	if len(g.dead) > 0 {
-		orig := yield
-		yield = func(t IDTriple) bool {
-			if g.isDead(t) {
-				return true
-			}
-			return orig(t)
-		}
-	}
+	ix := g.ix
 	switch {
 	case pat.S != 0 && pat.P != 0 && pat.O != 0:
-		if g.contains(pat) {
+		if ix.contains(pat) {
 			yield(pat)
 		}
 	case pat.S != 0 && pat.P != 0:
-		for _, o := range g.spo[pat.S][pat.P] {
+		for _, o := range ix.spo.leaf(pat.S, pat.P) {
 			if !yield(IDTriple{pat.S, pat.P, o}) {
 				return
 			}
 		}
 	case pat.P != 0 && pat.O != 0:
-		for _, sub := range g.pos[pat.P][pat.O] {
+		for _, sub := range ix.pos.leaf(pat.P, pat.O) {
 			if !yield(IDTriple{sub, pat.P, pat.O}) {
 				return
 			}
 		}
 	case pat.S != 0 && pat.O != 0:
-		for _, p := range g.osp[pat.O][pat.S] {
+		for _, p := range ix.osp.leaf(pat.O, pat.S) {
 			if !yield(IDTriple{pat.S, p, pat.O}) {
 				return
 			}
 		}
-	case pat.S != 0:
-		for _, p := range sortedKeys(g.spo[pat.S]) {
-			for _, o := range g.spo[pat.S][p] {
-				if !yield(IDTriple{pat.S, p, o}) {
-					return
-				}
-			}
-		}
-	case pat.P != 0:
-		for _, t := range g.byPred[pat.P] {
-			if !yield(t) {
-				return
-			}
-		}
-	case pat.O != 0:
-		for _, sub := range sortedKeys(g.osp[pat.O]) {
-			for _, p := range g.osp[pat.O][sub] {
-				if !yield(IDTriple{sub, p, pat.O}) {
-					return
-				}
-			}
-		}
 	default:
-		for _, t := range g.all {
-			if !yield(t) {
-				return
-			}
-		}
+		x, lo, hi := ix.rangeOf(pat)
+		x.walk(lo, hi, yield)
 	}
-}
-
-func sortedKeys(m map[ID][]ID) []ID {
-	keys := make([]ID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // Count returns the number of triples in the graph matching the pattern.
-func (g *Graph) Count(pat IDTriple) int {
-	n := 0
-	g.Match(pat, func(IDTriple) bool { n++; return true })
-	return n
-}
+func (g *Graph) Count(pat IDTriple) int { return g.Cardinality(pat) }
 
-// Cardinality estimates the number of matches for pat cheaply, for join
-// ordering. It is exact for the access paths the indexes cover directly on
-// a tombstone-free graph and an upper bound otherwise (index lengths count
-// tombstoned entries until compaction), which is the safe direction for
-// selectivity estimation.
+// Cardinality returns the exact number of matches for pat; every access
+// path is a range, so this is a range length.
 func (g *Graph) Cardinality(pat IDTriple) int {
+	ix := g.ix
 	switch {
 	case pat.S != 0 && pat.P != 0 && pat.O != 0:
-		if g.contains(pat) {
+		if ix.contains(pat) {
 			return 1
 		}
 		return 0
 	case pat.S != 0 && pat.P != 0:
-		return len(g.spo[pat.S][pat.P])
+		return len(ix.spo.leaf(pat.S, pat.P))
 	case pat.P != 0 && pat.O != 0:
-		return len(g.pos[pat.P][pat.O])
+		return len(ix.pos.leaf(pat.P, pat.O))
 	case pat.S != 0 && pat.O != 0:
-		return len(g.osp[pat.O][pat.S])
-	case pat.S != 0:
-		n := 0
-		for _, objs := range g.spo[pat.S] {
-			n += len(objs)
-		}
-		return n
-	case pat.P != 0:
-		n := 0
-		for _, subs := range g.pos[pat.P] {
-			n += len(subs)
-		}
-		return n
-	case pat.O != 0:
-		n := 0
-		for _, preds := range g.osp[pat.O] {
-			n += len(preds)
-		}
-		return n
+		return len(ix.osp.leaf(pat.O, pat.S))
 	default:
-		return g.n
+		_, lo, hi := ix.rangeOf(pat)
+		return hi - lo
 	}
 }
 
@@ -810,8 +504,8 @@ func (s *Store) Classes(graphURI string) []ClassCount {
 		return nil
 	}
 	var out []ClassCount
-	for o, subs := range g.pos[typeID] {
-		out = append(out, ClassCount{Class: s.dict.Decode(o), Count: len(subs)})
+	for _, o := range g.ix.pos.keysOf(typeID) {
+		out = append(out, ClassCount{Class: s.dict.Decode(o), Count: len(g.ix.pos.leaf(typeID, o))})
 	}
 	sortClassCounts(out)
 	return out
@@ -831,13 +525,9 @@ func (s *Store) Predicates(graphURI string) []PredicateCount {
 		return nil
 	}
 	var out []PredicateCount
-	for p, objs := range g.pos {
-		n := 0
-		for _, subs := range objs {
-			n += len(subs)
-		}
-		out = append(out, PredicateCount{Predicate: s.dict.Decode(p), Count: n})
-	}
+	g.ix.pso.eachKey(func(p ID, lo, hi int) {
+		out = append(out, PredicateCount{Predicate: s.dict.Decode(p), Count: hi - lo})
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
