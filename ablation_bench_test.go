@@ -1,10 +1,11 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// engine's greedy join ordering, its filter pushdown, and the client's
-// pagination page size. These isolate why the optimized queries win in
-// Figures 3–5.
+// Ablation benchmarks for the engine's and client's design choices: the
+// cost-based join planner, filter pushdown, and the client's pagination
+// page size (ARCHITECTURE.md describes each layer). These isolate why the
+// optimized queries win in Figures 3–5.
 package rdfframes_test
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -33,12 +34,12 @@ func BenchmarkAblationJoinOrdering(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
 		disable bool
-	}{{"greedy", false}, {"textual_order", true}} {
+	}{{"planner", false}, {"greedy", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := sparql.NewEngine(env.Store)
-			eng.DisableReorder = mode.disable
+			eng.DisableOptimizer = mode.disable
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Query(ablationQuery); err != nil {
+				if _, err := eng.Do(context.Background(), sparql.Request{Query: ablationQuery}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -56,7 +57,7 @@ func BenchmarkAblationFilterPushdown(b *testing.B) {
 			eng := sparql.NewEngine(env.Store)
 			eng.DisablePushdown = mode.disable
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Query(ablationQuery); err != nil {
+				if _, err := eng.Do(context.Background(), sparql.Request{Query: ablationQuery}); err != nil {
 					b.Fatal(err)
 				}
 			}

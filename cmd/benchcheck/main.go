@@ -4,7 +4,7 @@
 // (the bench boxes are shared single cores; wall-clock deltas are noise).
 //
 //	benchcheck -committed BENCH_sparql.json -fresh /tmp/bench-smoke.json
-//	benchcheck -fresh out.json -strict -sections 5,serving,parallel,planner
+//	benchcheck -fresh out.json -strict -sections 5,serving,ablation
 //
 // Structural checks (exit 1 on failure):
 //   - both reports parse and the fresh one has measurements,
@@ -12,10 +12,12 @@
 //     (task, approach) pairs,
 //   - no fresh measurement has an empty timing (zero seconds without an
 //     error) and none reports an error,
-//   - result byte-identity flags recorded by the serving, parallel,
-//     planner, wcoj, mutations, and features sections are all true (a false
-//     one is a determinism, planner-correctness, or crash-recovery
-//     regression),
+//   - result byte-identity flags recorded by the serving, ablation,
+//     mutations, and features sections are all true (a false one is a
+//     determinism, planner-correctness, or crash-recovery regression),
+//   - every ablation covers the committed (ablation, task) pairs, has
+//     non-empty timings, applies its toggle to at least one query, and
+//     records WCOJ iterator seeks wherever the operator was chosen,
 //   - the features section's streaming export stayed within its bounded
 //     buffer (an unbounded peak means the export materialized the frame),
 //   - the traffic section upholds the load-shedding contract: Retry-After
@@ -24,10 +26,9 @@
 //   - sections present in the fresh report are non-degenerate.
 //
 // -strict additionally requires every section named by -sections (figure
-// numbers and/or "storage", "serving", "parallel", "planner", "traffic",
-// "wcoj", "mutations", "features") to be present in the fresh report — a
-// missing section means the harness silently dropped a workload and is a
-// hard failure.
+// numbers and/or "storage", "serving", "ablation", "traffic", "mutations",
+// "features") to be present in the fresh report — a missing section means
+// the harness silently dropped a workload and is a hard failure.
 //
 // -metrics switches benchcheck into a second mode: instead of diffing
 // reports it validates a scraped Prometheus /metrics text file (exit 1 on
@@ -64,7 +65,7 @@ func main() {
 	freshPath := flag.String("fresh", "", "freshly generated report to check")
 	warnRatio := flag.Float64("warn-ratio", 3, "warn when a shared measurement's timing ratio exceeds this (either direction)")
 	strict := flag.Bool("strict", false, "missing -sections entries become hard failures")
-	sections := flag.String("sections", "", "comma-separated sections the fresh report must contain under -strict (e.g. 5,serving,parallel,planner,wcoj,mutations)")
+	sections := flag.String("sections", "", "comma-separated sections the fresh report must contain under -strict (e.g. 5,serving,ablation,mutations)")
 	metricsPath := flag.String("metrics", "", "validate a scraped Prometheus /metrics text file instead of diffing reports")
 	flag.Parse()
 
@@ -132,14 +133,10 @@ func checkSections(fresh *bench.JSONReport, sections string) []string {
 			missing = fresh.Storage == nil
 		case "serving":
 			missing = fresh.Serving == nil
-		case "parallel":
-			missing = fresh.Parallel == nil
-		case "planner":
-			missing = fresh.Planner == nil
+		case "ablation":
+			missing = len(fresh.Ablations) == 0
 		case "traffic":
 			missing = fresh.Traffic == nil
-		case "wcoj":
-			missing = fresh.Wcoj == nil
 		case "mutations":
 			missing = fresh.Mutations == nil
 		case "features":
@@ -314,62 +311,15 @@ func check(committed, fresh *bench.JSONReport, warnRatio float64) []string {
 			}
 		}
 	}
-	if fresh.Parallel != nil {
-		if len(fresh.Parallel.Queries) == 0 {
-			problems = append(problems, "parallel section has no queries")
-		}
-		for _, q := range fresh.Parallel.Queries {
-			if !q.ByteIdentical {
-				problems = append(problems, fmt.Sprintf("parallel %s: parallel result not byte-identical to serial", q.Task))
-			}
-			if q.SerialSeconds <= 0 || q.ParallelSeconds <= 0 {
-				problems = append(problems, fmt.Sprintf("parallel %s has an empty timing", q.Task))
-			}
-		}
-	}
-	if fresh.Planner != nil {
-		if len(fresh.Planner.Queries) == 0 {
-			problems = append(problems, "planner section has no queries")
-		}
-		for _, q := range fresh.Planner.Queries {
-			if !q.ByteIdentical {
-				problems = append(problems, fmt.Sprintf("planner %s: optimized result not byte-identical to heuristic", q.Task))
-			}
-			if q.HeuristicSeconds <= 0 || q.OptimizedSeconds <= 0 {
-				problems = append(problems, fmt.Sprintf("planner %s has an empty timing", q.Task))
-			}
-		}
-	}
-	if fresh.Wcoj != nil {
-		if len(fresh.Wcoj.Queries) == 0 {
-			problems = append(problems, "wcoj section has no queries")
-		}
-		if fresh.Wcoj.ChosenQueries == 0 {
-			problems = append(problems, "wcoj: cost model chose the operator for no query — the section measures nothing")
-		}
-		for _, q := range fresh.Wcoj.Queries {
-			if !q.ByteIdentical {
-				problems = append(problems, fmt.Sprintf("wcoj %s: result not byte-identical to the binary pipeline", q.Task))
-			}
-			if q.BinarySeconds <= 0 || q.WCOJSeconds <= 0 {
-				problems = append(problems, fmt.Sprintf("wcoj %s has an empty timing", q.Task))
-			}
-			if q.Chosen && q.Seeks == 0 {
-				problems = append(problems, fmt.Sprintf("wcoj %s: chosen but recorded no iterator seeks", q.Task))
-			}
-		}
+	if len(fresh.Ablations) > 0 {
+		problems = append(problems, checkAblations(committed.Ablations, fresh.Ablations)...)
 	}
 	if f := fresh.Features; f != nil {
 		if len(f.PathQueries) == 0 {
 			problems = append(problems, "features section has no path queries")
 		}
+		problems = append(problems, checkABQueries("features", f.PathQueries)...)
 		for _, q := range f.PathQueries {
-			if !q.ByteIdentical {
-				problems = append(problems, fmt.Sprintf("features %s: parallel path result not byte-identical to serial", q.Task))
-			}
-			if q.SerialSeconds <= 0 || q.ParallelSeconds <= 0 {
-				problems = append(problems, fmt.Sprintf("features %s has an empty timing", q.Task))
-			}
 			if q.Rows == 0 {
 				problems = append(problems, fmt.Sprintf("features %s returned no rows — the path matched nothing", q.Task))
 			}
@@ -438,6 +388,59 @@ func check(committed, fresh *bench.JSONReport, warnRatio float64) []string {
 		}
 		if !t.Stampede.ByteIdentical {
 			problems = append(problems, "traffic: stampede responses diverged")
+		}
+	}
+	return problems
+}
+
+// checkAblations gates the ablation section: every (ablation, task) pair
+// of the committed report is still measured, and each fresh ablation has
+// queries, passes checkABQueries, applies its toggle to at least one query
+// (otherwise it compares a pipeline with itself), and — for WCOJ — records
+// iterator seeks wherever the operator was chosen.
+func checkAblations(committed, fresh []*bench.AblationReport) []string {
+	var problems []string
+	type key struct{ ablation, task string }
+	measured := map[key]bool{}
+	for _, a := range fresh {
+		if len(a.Queries) == 0 {
+			problems = append(problems, fmt.Sprintf("ablation %s has no queries", a.Name))
+		}
+		problems = append(problems, checkABQueries("ablation "+a.Name, a.Queries)...)
+		applied := 0
+		for _, q := range a.Queries {
+			measured[key{a.Name, q.Task}] = true
+			if q.Applied {
+				applied++
+			}
+			if a.Name == "wcoj" && q.Applied && q.Seeks == 0 {
+				problems = append(problems, fmt.Sprintf("ablation wcoj %s: chosen but recorded no iterator seeks", q.Task))
+			}
+		}
+		if applied == 0 {
+			problems = append(problems, fmt.Sprintf("ablation %s: the toggle applied to no query — the row measures nothing", a.Name))
+		}
+	}
+	for _, a := range committed {
+		for _, q := range a.Queries {
+			if !measured[key{a.Name, q.Task}] {
+				problems = append(problems, fmt.Sprintf("ablation %s lost %s", a.Name, q.Task))
+			}
+		}
+	}
+	return problems
+}
+
+// checkABQueries flags per-query A/B rows whose candidate result was not
+// byte-identical to the baseline's or whose timings are empty.
+func checkABQueries(section string, qs []bench.AblationQuery) []string {
+	var problems []string
+	for _, q := range qs {
+		if !q.ByteIdentical {
+			problems = append(problems, fmt.Sprintf("%s %s: candidate result not byte-identical to baseline", section, q.Task))
+		}
+		if q.BaselineSeconds <= 0 || q.CandidateSeconds <= 0 {
+			problems = append(problems, fmt.Sprintf("%s %s has an empty timing", section, q.Task))
 		}
 	}
 	return problems

@@ -10,7 +10,7 @@
 //
 //	benchrunner                 # all figures, small scale
 //	benchrunner -scale bench -fig 5 -timeout 60s
-//	benchrunner -fig 5,storage,serving,parallel,planner -out BENCH_sparql.json
+//	benchrunner -fig 5,storage,serving,ablation -out BENCH_sparql.json
 //	benchrunner -bestof 3       # keep the best of 3 runs per measurement
 //	benchrunner -parallel 4     # intra-query morsel workers (1 = serial engine)
 //	benchrunner -snapshot data.snap -fig 5   # reopen dataset from snapshot
@@ -25,14 +25,13 @@
 // plus a full paginated client materialization, recording QPS and cache
 // hit/miss counters.
 //
-// -fig parallel runs the morsel-parallelism workload: every Figure-5 query
-// evaluated serially (Parallelism 1) and with -parallel workers, recording
-// timings and result byte-identity.
-//
-// -fig planner runs the query-planner workload: every Figure-5 query
-// evaluated with the greedy probe-memoized heuristic (DisableOptimizer)
-// and with the cost-based planner, recording timings and result
-// byte-identity.
+// -fig ablation runs the engine A-vs-B workloads (bench.Ablations): every
+// Figure-5 query evaluated under a baseline and a candidate configuration
+// of one engine toggle, recording best-of-N timings, result byte-identity,
+// and whether the toggle applied. The rows are the cost-based planner vs
+// the greedy heuristic (DisableOptimizer), -parallel morsel workers vs the
+// serial engine, and the worst-case-optimal join vs the binary pipeline
+// (DisableWCOJ), with the candidate's WCOJ seek and backtrack counts.
 //
 // -fig traffic runs the multi-client load workload: an admission-controlled
 // caching endpoint driven by a Zipfian Figure-5 mix through a closed-loop
@@ -60,6 +59,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -73,6 +73,7 @@ import (
 	"rdfframes/internal/datagen"
 	"rdfframes/internal/obs"
 	"rdfframes/internal/snapshot"
+	"rdfframes/internal/sparql"
 	"rdfframes/internal/store"
 )
 
@@ -98,19 +99,19 @@ const (
 func main() {
 	var (
 		scaleFlag = flag.String("scale", "small", `dataset scale: "small" or "bench"`)
-		figFlag   = flag.String("fig", "3,4,5", `comma-separated figures to run ("3", "4", "5", "storage", "serving", "parallel", "planner", "traffic", "wcoj", "mutations", "features")`)
+		figFlag   = flag.String("fig", "3,4,5", `comma-separated figures to run ("3", "4", "5", "storage", "serving", "ablation", "traffic", "mutations", "features")`)
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-query timeout (the paper used 30 minutes)")
 		bestOf    = flag.Int("bestof", 1, "rerun each measured phase N times and keep the best (use >=3 when regenerating committed numbers)")
 		verify    = flag.Bool("verify", false, "verify all approaches return identical results first")
 		out       = flag.String("out", "", "also write measurements as JSON to this file (e.g. BENCH_sparql.json)")
 		snapPath  = flag.String("snapshot", "", "load the dataset from this snapshot file instead of generating it")
 		dataDir   = flag.String("data", "", "load dbpedia.nt/dblp.nt/yago.nt from this directory instead of generating")
-		parallel  = flag.Int("parallel", 4, "intra-query morsel workers for the engine and the parallel figure (0 = GOMAXPROCS, 1 = serial)")
+		parallel  = flag.Int("parallel", 4, "intra-query morsel workers for the engine and the parallel ablation (0 = GOMAXPROCS, 1 = serial)")
 		digest    = flag.String("digest", "", "write per-query Figure-5 result digests to this file and exit (for determinism checks)")
 		explain   = flag.Bool("explain", false, "print the optimized EXPLAIN plan of every Figure-5 query and exit")
 		slowPath  = flag.String("slowlog", "", "arm a slow-query log on the traffic figure's endpoint, appending JSON lines to this file (- = stderr, empty = off)")
 		slowThr   = flag.Duration("slowlog-threshold", 100*time.Millisecond, "latency at or above which a traffic-figure query lands in -slowlog")
-		noWCOJ    = flag.Bool("no-wcoj", false, "disable the worst-case-optimal join operator on the main engine (ablation; the wcoj figure builds its own engines)")
+		noWCOJ    = flag.Bool("no-wcoj", false, "disable the worst-case-optimal join operator on the main engine (the ablation figure builds its own engines)")
 	)
 	flag.Parse()
 
@@ -197,22 +198,16 @@ func main() {
 			}
 			report.Serving = rep
 			fmt.Println(bench.FormatServing(rep))
-		case "parallel":
-			fmt.Fprintln(os.Stderr, "measuring parallel execution (serial vs morsel workers)...")
-			rep, err := bench.MeasureParallel(env, *parallel, *bestOf, *timeout)
+		case "ablation":
+			fmt.Fprintln(os.Stderr, "measuring engine ablations (planner, parallel, wcoj)...")
+			reps, err := bench.MeasureAblations(env, *parallel, *bestOf, *timeout)
 			if err != nil {
 				log.Fatal(err)
 			}
-			report.Parallel = rep
-			fmt.Println(bench.FormatParallel(rep))
-		case "planner":
-			fmt.Fprintln(os.Stderr, "measuring query planner (greedy heuristic vs cost-based ordering)...")
-			rep, err := bench.MeasurePlanner(env, *bestOf, *timeout)
-			if err != nil {
-				log.Fatal(err)
+			report.Ablations = reps
+			for _, rep := range reps {
+				fmt.Println(bench.FormatAblation(rep))
 			}
-			report.Planner = rep
-			fmt.Println(bench.FormatPlanner(rep))
 		case "traffic":
 			fmt.Fprintln(os.Stderr, "measuring serving under load (admission control, shedding, stampedes)...")
 			stage, ramp := trafficSmallStage, trafficSmallRamp
@@ -225,14 +220,6 @@ func main() {
 			}
 			report.Traffic = rep
 			fmt.Println(bench.FormatTraffic(rep))
-		case "wcoj":
-			fmt.Fprintln(os.Stderr, "measuring worst-case-optimal joins (binary pipeline vs leapfrog triejoin)...")
-			rep, err := bench.MeasureWCOJ(env, *bestOf, *timeout)
-			if err != nil {
-				log.Fatal(err)
-			}
-			report.Wcoj = rep
-			fmt.Println(bench.FormatWCOJ(rep))
 		case "features":
 			fmt.Fprintln(os.Stderr, "measuring feature pipeline (property paths, topology features, streaming export)...")
 			rep, err := bench.MeasureFeatures(env, *parallel, *bestOf, *timeout)
@@ -298,15 +285,11 @@ func writeDigest(env *bench.Env, path string) error {
 		if err != nil {
 			return fmt.Errorf("digest %s: %w", task.ID, err)
 		}
-		res, err := env.Engine.Query(query)
+		resp, err := env.Engine.Do(context.Background(), sparql.Request{Query: query, JSON: true})
 		if err != nil {
 			return fmt.Errorf("digest %s: %w", task.ID, err)
 		}
-		body, err := res.MarshalJSON()
-		if err != nil {
-			return fmt.Errorf("digest %s: %w", task.ID, err)
-		}
-		fmt.Fprintf(&sb, "%s %x %d\n", task.ID, sha256.Sum256(body), len(res.Rows))
+		fmt.Fprintf(&sb, "%s %x %d\n", task.ID, sha256.Sum256(resp.Body), resp.Rows)
 	}
 	return os.WriteFile(path, []byte(sb.String()), 0o644)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -19,21 +18,6 @@ import (
 // byte-identity check, store-side topology-feature extraction, and the
 // streaming CSV export with its bounded-memory assertion.
 
-// PathQuery is one property-path query measured serially and in parallel.
-type PathQuery struct {
-	Task string `json:"task"`
-	Rows int    `json:"rows"`
-	// SerialSeconds/ParallelSeconds follow the parallel figure's protocol:
-	// Parallelism 1 versus the report's worker count, best-of-N.
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	// ByteIdentical records that the parallel evaluation's SPARQL JSON was
-	// byte-identical to the serial one — the determinism contract extends
-	// to path operators.
-	ByteIdentical bool `json:"byte_identical"`
-}
-
 // FeaturesReport captures the feature-pipeline benchmark: property paths,
 // topology features, and the streaming export.
 type FeaturesReport struct {
@@ -41,7 +25,10 @@ type FeaturesReport struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	BestOf     int `json:"best_of"`
 
-	PathQueries []PathQuery `json:"path_queries"`
+	// PathQueries compare Parallelism 1 (baseline) against the report's
+	// worker count (candidate), as the parallel ablation does: the
+	// determinism contract extends to path operators.
+	PathQueries []AblationQuery `json:"path_queries"`
 
 	// Topology-feature extraction: distinct nodes featurized, the 2-hop
 	// cap used, and the extraction time.
@@ -104,7 +91,7 @@ SELECT * FROM <http://dbpedia.org> WHERE {
 const featureHopCap = sparql.DefaultHopCap
 
 // MeasureFeatures runs the feature-pipeline workload. workers follows the
-// parallel figure's semantics (<= 0 resolves to GOMAXPROCS, < 2 is an
+// parallel ablation's semantics (<= 0 resolves to GOMAXPROCS, < 2 is an
 // error, since the byte-identity half compares against serial evaluation).
 func MeasureFeatures(env *Env, workers, bestOf int, timeout time.Duration) (*FeaturesReport, error) {
 	if workers <= 0 {
@@ -116,46 +103,16 @@ func MeasureFeatures(env *Env, workers, bestOf int, timeout time.Duration) (*Fea
 	if bestOf < 1 {
 		bestOf = 1
 	}
-	serialEng := sparql.NewEngine(env.Store)
-	serialEng.SetTimeout(timeout)
-	serialEng.Parallelism = 1
-	parEng := sparql.NewEngine(env.Store)
-	parEng.SetTimeout(timeout)
-	parEng.Parallelism = workers
+	serialEng := newAblationEngine(env, timeout, 1, nil)
+	parEng := newAblationEngine(env, timeout, workers, nil)
 
 	rep := &FeaturesReport{Workers: workers, GOMAXPROCS: runtime.GOMAXPROCS(0), BestOf: bestOf}
 
 	// Property paths: serial vs parallel timings plus byte-identity.
 	for _, task := range featurePathQueries() {
-		want, err := evalJSON(serialEng, task.query)
+		pq, err := compareQuery(serialEng, parEng, task.id, task.query, bestOf)
 		if err != nil {
-			return nil, fmt.Errorf("bench features %s: serial: %w", task.id, err)
-		}
-		got, err := evalJSON(parEng, task.query)
-		if err != nil {
-			return nil, fmt.Errorf("bench features %s: parallel: %w", task.id, err)
-		}
-		res, err := sparql.ReadJSON(bytes.NewReader(want))
-		if err != nil {
-			return nil, fmt.Errorf("bench features %s: decode: %w", task.id, err)
-		}
-		pq := PathQuery{Task: task.id, Rows: len(res.Rows), ByteIdentical: bytes.Equal(want, got)}
-		pq.SerialSeconds, err = timeBestSeconds(bestOf, func() error {
-			_, err := serialEng.Do(context.Background(), sparql.Request{Query: task.query})
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench features %s: serial timing: %w", task.id, err)
-		}
-		pq.ParallelSeconds, err = timeBestSeconds(bestOf, func() error {
-			_, err := parEng.Do(context.Background(), sparql.Request{Query: task.query})
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench features %s: parallel timing: %w", task.id, err)
-		}
-		if pq.ParallelSeconds > 0 {
-			pq.Speedup = pq.SerialSeconds / pq.ParallelSeconds
+			return nil, fmt.Errorf("bench features %s: %w", task.id, err)
 		}
 		rep.PathQueries = append(rep.PathQueries, pq)
 	}
@@ -228,15 +185,7 @@ func FormatFeatures(rep *FeaturesReport) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Feature pipeline: property paths serial vs %d morsel workers (GOMAXPROCS=%d), topology features, streaming export\n",
 		rep.Workers, rep.GOMAXPROCS)
-	fmt.Fprintf(&sb, "%-6s %8s %14s %14s %10s %6s\n", "path", "rows", "serial (s)", "parallel (s)", "speedup", "same")
-	for _, q := range rep.PathQueries {
-		same := "yes"
-		if !q.ByteIdentical {
-			same = "NO"
-		}
-		fmt.Fprintf(&sb, "%-6s %8d %14.6f %14.6f %9.2fx %6s\n",
-			q.Task, q.Rows, q.SerialSeconds, q.ParallelSeconds, q.Speedup, same)
-	}
+	sb.WriteString(formatAblationQueries("path", "serial", "parallel", rep.PathQueries))
 	fmt.Fprintf(&sb, "topology features: %d nodes (2-hop cap %d) in %.4fs\n",
 		rep.FeatureNodes, rep.FeatureHopCap, rep.FeatureSeconds)
 	bounded := "bounded"

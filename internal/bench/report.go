@@ -193,19 +193,13 @@ type JSONReport struct {
 	// Serving holds the repeated-query serving-layer numbers (cold vs warm
 	// throughput and cache behaviour) when benchrunner measured them.
 	Serving *ServingReport `json:"serving,omitempty"`
-	// Parallel holds the morsel-parallelism numbers (serial vs parallel
-	// evaluation and byte-identity) when benchrunner measured them.
-	Parallel *ParallelReport `json:"parallel,omitempty"`
-	// Planner holds the query-planner numbers (greedy heuristic vs
-	// cost-based join ordering and byte-identity) when benchrunner
-	// measured them.
-	Planner *PlannerReport `json:"planner,omitempty"`
+	// Ablations holds the engine A-vs-B numbers (one report per row of
+	// Ablations: timings and byte-identity per Figure-5 query) when
+	// benchrunner measured them.
+	Ablations []*AblationReport `json:"ablations,omitempty"`
 	// Traffic holds the multi-client load numbers (admission control,
 	// shedding, stampede protection) when benchrunner measured them.
 	Traffic *TrafficReport `json:"traffic,omitempty"`
-	// Wcoj holds the worst-case-optimal join numbers (binary pipeline vs
-	// leapfrog triejoin and byte-identity) when benchrunner measured them.
-	Wcoj *WCOJReport `json:"wcoj,omitempty"`
 	// Mutations holds the write-path numbers (SPARQL UPDATE batches, WAL
 	// durability, and crash-recovery byte-identity) when
 	// benchrunner measured them.

@@ -54,15 +54,11 @@ func TestSnapshotRoundTripFigure5ByteIdentical(t *testing.T) {
 
 func queryJSON(t *testing.T, env *Env, query, task string) []byte {
 	t.Helper()
-	res, err := env.Engine.Query(query)
+	resp, err := evalJSON(env.Engine, query)
 	if err != nil {
 		t.Fatalf("%s: %v", task, err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return resp.Body
 }
 
 func TestMeasureStorage(t *testing.T) {

@@ -40,13 +40,9 @@ type HTTPClient struct {
 	Endpoint string
 	// PageSize is the pagination chunk size; 0 disables pagination.
 	PageSize int
-	// MaxRetries bounds retries per chunk on transient errors (default 2).
-	// It is the legacy knob: when Retry is nil, the client uses a default
-	// RetryPolicy with MaxAttempts = MaxRetries + 1.
-	MaxRetries int
-	// Retry, when non-nil, fully specifies the retry schedule — attempt
-	// cap, exponential backoff, jitter, and Retry-After handling — and
-	// takes precedence over MaxRetries.
+	// Retry, when non-nil, specifies the retry schedule per chunk —
+	// attempt cap, exponential backoff, jitter, and Retry-After handling.
+	// Nil uses the default RetryPolicy (3 attempts).
 	Retry *RetryPolicy
 	// HTTP is the underlying client; nil uses a 30s-timeout default.
 	HTTP *http.Client
@@ -215,17 +211,14 @@ func (c *HTTPClient) paginateFrom(query string, seed *sparql.Results, pageSize, 
 	}
 }
 
-// retryPolicy resolves the effective policy: Retry when set, otherwise a
-// default schedule whose attempt cap honors the legacy MaxRetries knob.
+// retryPolicy resolves the effective policy: Retry when set, otherwise
+// the default schedule.
 func (c *HTTPClient) retryPolicy() RetryPolicy {
+	var p RetryPolicy
 	if c.Retry != nil {
-		return c.Retry.withDefaults()
+		p = *c.Retry
 	}
-	p := RetryPolicy{}.withDefaults()
-	if c.MaxRetries > 0 {
-		p.MaxAttempts = c.MaxRetries + 1
-	}
-	return p
+	return p.withDefaults()
 }
 
 func (c *HTTPClient) fetch(query string) (*sparql.Results, bool, error) {

@@ -19,7 +19,7 @@ func TestMalformedJSONRetriedThenFails(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewHTTPClient(srv.URL, 0)
-	c.MaxRetries = 1
+	c.Retry = &RetryPolicy{MaxAttempts: 2}
 	if _, err := c.Select("SELECT * WHERE { ?s ?p ?o }"); err == nil {
 		t.Fatal("malformed body accepted")
 	}
@@ -45,7 +45,7 @@ func TestEndpointVanishesMidPagination(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewHTTPClient(srv.URL, 2)
-	c.MaxRetries = 1
+	c.Retry = &RetryPolicy{MaxAttempts: 2}
 	_, err := c.Select("SELECT ?x WHERE { ?x ?p ?o }")
 	if err == nil {
 		t.Fatal("mid-pagination failure not reported")

@@ -97,7 +97,7 @@ func (ce *cachedResult) encodedPage(lo, hi int) (b []byte, grew bool, err error)
 	return b, grew, nil
 }
 
-// ServeInfo describes how a QueryServing call was answered.
+// ServeInfo describes how a Do call was answered.
 type ServeInfo struct {
 	// CacheEnabled reports whether the result cache was consulted.
 	CacheEnabled bool
@@ -182,11 +182,11 @@ type cachedPlan struct {
 // data distribution shifts (bulk ingest, new graphs) the epoch moves and
 // the entry is re-optimized on next use, while steady-state serving reuses
 // the cached plan untouched. The returned plan is nil when the optimizer
-// is off (DisableOptimizer / DisableReorder). A trace carried by ctx gets
+// is off (DisableOptimizer). A trace carried by ctx gets
 // parse/plan spans and the plan-cache outcome.
 func (e *Engine) planned(ctx context.Context, src string) (*Query, *queryPlan, error) {
 	tr := obs.TraceFrom(ctx)
-	optimize := !e.DisableOptimizer && !e.DisableReorder
+	optimize := !e.DisableOptimizer
 	if e.plans == nil {
 		endParse := tr.StartSpan("parse")
 		q, err := Parse(src)
@@ -232,44 +232,6 @@ func (e *Engine) planned(ctx context.Context, src string) (*Query, *queryPlan, e
 	}
 	tr.Annotate("stats_epoch", strconv.FormatUint(qp.epoch, 10))
 	return entry.q, qp, nil
-}
-
-// QueryServing is the serving-path entry point: evaluation plus the plan
-// and result caches. Results served or filled from the cache are shared
-// across calls and must be treated as read-only by the caller.
-//
-// Deprecated: use Do with Request.Serving set.
-func (e *Engine) QueryServing(src string) (*Results, ServeInfo, error) {
-	return e.QueryServingContext(context.Background(), src)
-}
-
-// QueryServingContext is QueryServing bounded by ctx.
-//
-// Deprecated: use Do with Request.Serving set.
-func (e *Engine) QueryServingContext(ctx context.Context, src string) (*Results, ServeInfo, error) {
-	resp, err := e.Do(ctx, Request{Query: src, Serving: true})
-	if err != nil {
-		return nil, ServeInfo{}, err
-	}
-	return resp.Results, resp.Info, nil
-}
-
-// QueryServingJSON is QueryServing serialized to the SPARQL JSON body.
-//
-// Deprecated: use Do with Request.Serving and Request.JSON set.
-func (e *Engine) QueryServingJSON(src string, maxRows int) (body []byte, rows int, truncated bool, info ServeInfo, err error) {
-	return e.QueryServingJSONContext(context.Background(), src, maxRows)
-}
-
-// QueryServingJSONContext is QueryServingJSON bounded by ctx.
-//
-// Deprecated: use Do with Request.Serving and Request.JSON set.
-func (e *Engine) QueryServingJSONContext(ctx context.Context, src string, maxRows int) (body []byte, rows int, truncated bool, info ServeInfo, err error) {
-	resp, err := e.Do(ctx, Request{Query: src, Serving: true, JSON: true, MaxRows: maxRows})
-	if err != nil {
-		return nil, 0, false, ServeInfo{}, err
-	}
-	return resp.Body, resp.Rows, resp.Truncated, resp.Info, nil
 }
 
 // serve resolves src through the caches to a result entry plus the

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -90,30 +91,34 @@ func TestQueryServingMatchesUncached(t *testing.T) {
 		`SELECT * WHERE { ?s <http://ex/p> ?o } OFFSET 1000`,
 	}
 	for _, q := range queries {
-		want, err := plain.Query(q)
+		want, err := runQuery(plain, q)
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", q, err)
 		}
 		// The first serving may already hit: several of these texts
 		// normalize to the same stripped key, which is the point of
 		// pagination-aware slicing. Only byte-identity is asserted here.
-		miss, _, err := cached.QueryServing(q)
+		miss, err := cached.Do(context.Background(), Request{Query: q, Serving: true})
 		if err != nil {
 			t.Fatalf("%s: cached first serving: %v", q, err)
 		}
-		hit, info, err := cached.QueryServing(q)
+		hit, err := cached.Do(context.Background(), Request{Query: q, Serving: true})
 		if err != nil {
 			t.Fatalf("%s: cached hit: %v", q, err)
 		}
-		if !info.Hit {
+		if !hit.Info.Hit {
 			t.Fatalf("%s: second serving was not a hit", q)
 		}
 		wantJSON := mustJSON(t, want)
-		if got := mustJSON(t, miss); !bytes.Equal(got, wantJSON) {
+		if got := mustJSON(t, miss.Results); !bytes.Equal(got, wantJSON) {
 			t.Fatalf("%s: miss response differs from uncached\n got: %s\nwant: %s", q, got, wantJSON)
 		}
-		if got := mustJSON(t, hit); !bytes.Equal(got, wantJSON) {
+		if got := mustJSON(t, hit.Results); !bytes.Equal(got, wantJSON) {
 			t.Fatalf("%s: hit response differs from uncached\n got: %s\nwant: %s", q, got, wantJSON)
+		}
+		enc, err := cached.Do(context.Background(), Request{Query: q, Serving: true, JSON: true})
+		if err != nil || !bytes.Equal(enc.Body, wantJSON) {
+			t.Fatalf("%s: serving JSON body differs from uncached MarshalJSON (err %v)", q, err)
 		}
 	}
 }
@@ -140,17 +145,18 @@ func TestQueryServingPageSharing(t *testing.T) {
 	var gotRows, wantRows int
 	for off := 0; off < 30; off += 7 {
 		page := fmt.Sprintf("%s LIMIT %d OFFSET %d", base, 7, off)
-		res, info, err := eng.QueryServing(page)
+		resp, err := eng.Do(context.Background(), Request{Query: page, Serving: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if off == 0 && info.Hit {
+		res := resp.Results
+		if off == 0 && resp.Info.Hit {
 			t.Fatal("first page cannot be a hit")
 		}
-		if off > 0 && !info.Hit {
+		if off > 0 && !resp.Info.Hit {
 			t.Fatalf("page at offset %d missed the cache", off)
 		}
-		want, err := plain.Query(page)
+		want, err := runQuery(plain, page)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,15 +186,15 @@ func TestQueryServingInvalidationOnMutation(t *testing.T) {
 	eng := NewEngine(st)
 	eng.EnableCache(DefaultPlanCacheEntries, DefaultResultCacheRows)
 
-	q := `SELECT * WHERE { ?s <http://ex/p> ?o }`
-	res, info, err := eng.QueryServing(q)
+	req := Request{Query: `SELECT * WHERE { ?s <http://ex/p> ?o }`, Serving: true}
+	resp, err := eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 30 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if resp.Rows != 30 {
+		t.Fatalf("rows = %d", resp.Rows)
 	}
-	v0 := info.StoreVersion
+	v0 := resp.Info.StoreVersion
 
 	if err := st.Add("http://g", rdf.Triple{
 		S: rdf.NewIRI("http://ex/s99"),
@@ -198,27 +204,27 @@ func TestQueryServingInvalidationOnMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, info, err = eng.QueryServing(q)
+	resp, err = eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hit {
+	if resp.Info.Hit {
 		t.Fatal("stale hit after mutation")
 	}
-	if info.StoreVersion <= v0 {
-		t.Fatalf("store version did not advance: %d -> %d", v0, info.StoreVersion)
+	if resp.Info.StoreVersion <= v0 {
+		t.Fatalf("store version did not advance: %d -> %d", v0, resp.Info.StoreVersion)
 	}
-	if len(res.Rows) != 31 {
-		t.Fatalf("post-mutation rows = %d, want 31", len(res.Rows))
+	if resp.Rows != 31 {
+		t.Fatalf("post-mutation rows = %d, want 31", resp.Rows)
 	}
 
 	// And the fresh entry serves hits again at the new version.
-	res, info, err = eng.QueryServing(q)
+	resp, err = eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Hit || len(res.Rows) != 31 {
-		t.Fatalf("hit=%v rows=%d after refill", info.Hit, len(res.Rows))
+	if !resp.Info.Hit || resp.Rows != 31 {
+		t.Fatalf("hit=%v rows=%d after refill", resp.Info.Hit, resp.Rows)
 	}
 }
 
@@ -231,7 +237,7 @@ func TestPlanCacheReusesParsedQueries(t *testing.T) {
 	}
 	q := `SELECT * WHERE { ?s <http://ex/p> ?o } LIMIT 3`
 	for i := 0; i < 3; i++ {
-		if _, err := eng.Query(q); err != nil {
+		if _, err := runQuery(eng, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +246,7 @@ func TestPlanCacheReusesParsedQueries(t *testing.T) {
 		t.Fatalf("plan stats = %+v", stats.Plans)
 	}
 	// A second text parses separately.
-	if _, err := eng.Query(q + " OFFSET 1"); err != nil {
+	if _, err := runQuery(eng, q+" OFFSET 1"); err != nil {
 		t.Fatal(err)
 	}
 	if stats := eng.CacheStats(); stats.Plans.Misses != 2 {
@@ -252,26 +258,26 @@ func TestQueryServingResultBudgetRejectsOversized(t *testing.T) {
 	st := cacheTestStore(t)
 	eng := NewEngine(st)
 	eng.EnableCache(64, 10) // budget below the 30-row result
-	q := `SELECT * WHERE { ?s <http://ex/p> ?o } LIMIT 5`
+	req := Request{Query: `SELECT * WHERE { ?s <http://ex/p> ?o } LIMIT 5`, Serving: true}
 	for i := 0; i < 2; i++ {
-		res, info, err := eng.QueryServing(q)
+		resp, err := eng.Do(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Hit {
+		if resp.Info.Hit {
 			t.Fatal("oversized result must not be cached")
 		}
-		if len(res.Rows) != 5 {
-			t.Fatalf("rows = %d", len(res.Rows))
+		if resp.Rows != 5 {
+			t.Fatalf("rows = %d", resp.Rows)
 		}
 	}
 	// A small enough result still caches.
-	small := `SELECT * WHERE { ?s <http://ex/p> ?o . FILTER(?o < 3) }`
-	if _, _, err := eng.QueryServing(small); err != nil {
+	small := Request{Query: `SELECT * WHERE { ?s <http://ex/p> ?o . FILTER(?o < 3) }`, Serving: true}
+	if _, err := eng.Do(context.Background(), small); err != nil {
 		t.Fatal(err)
 	}
-	if _, info, err := eng.QueryServing(small); err != nil || !info.Hit {
-		t.Fatalf("small result not cached: hit=%v err=%v", info.Hit, err)
+	if resp, err := eng.Do(context.Background(), small); err != nil || !resp.Info.Hit {
+		t.Fatalf("small result not cached: resp=%+v err=%v", resp, err)
 	}
 }
 
@@ -289,7 +295,7 @@ func TestEncodedPageMemoChargedToBudget(t *testing.T) {
 	base := `SELECT * WHERE { ?s ?p ?o }`
 	for off := 0; off < 30; off++ {
 		q := fmt.Sprintf("%s LIMIT 2 OFFSET %d", base, off)
-		if _, _, _, _, err := eng.QueryServingJSON(q, 0); err != nil {
+		if _, err := eng.Do(context.Background(), Request{Query: q, Serving: true, JSON: true}); err != nil {
 			t.Fatal(err)
 		}
 		if cost := eng.CacheStats().Results.Cost; cost > 40 {

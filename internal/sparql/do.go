@@ -6,12 +6,9 @@ import (
 	"rdfframes/internal/obs"
 )
 
-// Engine.Do is the consolidated read-side entry point: one options-struct
-// call that subsumes the former six-way Query / QueryContext / QueryServing
-// / QueryServingContext / QueryServingJSON / QueryServingJSONContext
-// surface. The old names remain as thin deprecated wrappers so existing
-// callers compile unchanged; new code should call Do (and Update for
-// writes).
+// Engine.Do is the engine's one read-side entry point: an options-struct
+// call covering direct evaluation, the cached serving path, and the SPARQL
+// JSON encoding (Update is its write-side counterpart).
 
 // Request describes one query request.
 type Request struct {

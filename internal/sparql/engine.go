@@ -34,10 +34,6 @@ type Engine struct {
 	// the greedy probe-memoized join ordering (the pre-planner heuristic).
 	// Used by ablation benchmarks and the planner byte-identity tests.
 	DisableOptimizer bool
-	// DisableReorder turns off join ordering entirely, evaluating triple
-	// patterns in textual order (for ablation benchmarks). Implies
-	// DisableOptimizer.
-	DisableReorder bool
 	// DisablePushdown turns off early filter application during BGP
 	// evaluation (for ablation benchmarks).
 	DisablePushdown bool
@@ -127,32 +123,6 @@ func (e *Engine) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Query parses and evaluates a SELECT query, returning its solutions. The
-// parse goes through the plan cache when EnableCache has been called; the
-// result cache is consulted only on the serving path.
-//
-// Deprecated: use Do.
-func (e *Engine) Query(src string) (*Results, error) {
-	return e.queryContext(context.Background(), src)
-}
-
-// QueryContext is Query bounded by ctx.
-//
-// Deprecated: use Do.
-func (e *Engine) QueryContext(ctx context.Context, src string) (*Results, error) {
-	return e.queryContext(ctx, src)
-}
-
-// queryContext parses and evaluates a SELECT query bounded by ctx:
-// cancellation (or a ctx deadline) stops the evaluation — including any
-// morsel workers it fanned out — within one tick window. An EXPLAIN query
-// returns its plan as a one-variable result set (see Explain for the
-// structured form).
-func (e *Engine) queryContext(ctx context.Context, src string) (*Results, error) {
-	res, _, err := e.queryVersioned(ctx, src)
-	return res, err
-}
-
 // queryVersioned evaluates src and reports the store version the answer
 // reflects, read under the same lock hold as the evaluation: mutation
 // batches commit under the write lock and bump the version before releasing
@@ -176,27 +146,22 @@ func (e *Engine) queryVersioned(ctx context.Context, src string) (*Results, uint
 	return res, e.Store.Version(), err
 }
 
-// Eval evaluates an already-parsed query inside one store read
-// transaction, so concurrent mutations never interleave with a running
-// query. Evaluation never mutates q; a parsed query is safe to evaluate
-// from many goroutines at once.
-func (e *Engine) Eval(q *Query) (*Results, error) {
-	return e.EvalContext(context.Background(), q)
-}
-
-// EvalContext is Eval bounded by ctx; see QueryContext.
-func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Results, error) {
+// evalContext evaluates an already-parsed query inside one store read
+// transaction bounded by ctx, so concurrent mutations never interleave with
+// a running query. Evaluation never mutates q; a parsed query is safe to
+// evaluate from many goroutines at once.
+func (e *Engine) evalContext(ctx context.Context, q *Query) (*Results, error) {
 	qp := e.planFor(q) // before RLock: planning takes its own read locks
 	e.Store.RLock()
 	defer e.Store.RUnlock()
 	return e.evalLocked(ctx, q, qp)
 }
 
-// planFor optimizes q unless the optimizer (or all reordering) is off.
+// planFor optimizes q unless the optimizer is off.
 // Plans built here are untracked and uncached; the text-keyed serving path
 // (planned) adds the epoch-checked plan cache on top.
 func (e *Engine) planFor(q *Query) *queryPlan {
-	if e.DisableOptimizer || e.DisableReorder {
+	if e.DisableOptimizer {
 		return nil
 	}
 	return e.buildPlan(q, false)
@@ -225,7 +190,6 @@ func (e *Engine) evaluatorLocked(ctx context.Context, qp *queryPlan) (*evaluator
 		store:           e.Store,
 		dict:            newEvalDict(e.Store.Dict()),
 		cache:           &regexCache{},
-		disableReorder:  e.DisableReorder,
 		disablePushdown: e.DisablePushdown,
 		qp:              qp,
 		workers:         e.parallelism(),

@@ -20,7 +20,6 @@ type evaluator struct {
 	store           *store.Store
 	dict            *evalDict
 	cache           *regexCache
-	disableReorder  bool
 	disablePushdown bool
 	// qp is the cost-based plan for this query (nil falls back to the
 	// greedy probe-memoized ordering); seg counts BGP segments per group so
@@ -652,13 +651,13 @@ func (ev *evaluator) evalBGP(current *idRows, patterns []TriplePattern, graphs [
 			bound[v] = true
 		}
 	}
-	ordered := patterns
+	var ordered []TriplePattern
 	if bp != nil && len(bp.order) == len(patterns) {
 		ordered = make([]TriplePattern, len(patterns))
 		for step, pi := range bp.order {
 			ordered[step] = patterns[pi]
 		}
-	} else if !ev.disableReorder {
+	} else {
 		ordered = ev.orderPatterns(patterns, bound, graphs)
 	}
 	var err error

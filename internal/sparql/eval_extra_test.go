@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -33,7 +35,7 @@ func TestEvalOrderByExpression(t *testing.T) {
 		s.Add(testGraph, rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i)), P: p, O: rdf.NewInteger(v)})
 	}
 	e := NewEngine(s)
-	res, err := e.Query(`SELECT ?v WHERE { ?s <http://ex/v> ?v } ORDER BY DESC(abs(?v))`)
+	res, err := runQuery(e, `SELECT ?v WHERE { ?s <http://ex/v> ?v } ORDER BY DESC(abs(?v))`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestEvalOrderByExpression(t *testing.T) {
 func TestEvalNestedSubqueryProjectionScopes(t *testing.T) {
 	e := NewEngine(movieStore(t))
 	// The inner query's un-projected variables must not leak out.
-	res, err := e.Query(`SELECT * WHERE {
+	res, err := runQuery(e, `SELECT * WHERE {
 	  { SELECT ?a WHERE { ?m <http://ex/starring> ?a } }
 	}`)
 	if err != nil {
@@ -64,19 +66,22 @@ func TestEvalFilterPushdownEquivalence(t *testing.T) {
 	  FILTER ( ?c = <http://ex/US> )
 	}`
 	plain := NewEngine(st)
+	// The reference applies every filter after its whole BGP, in the
+	// greedy join order: no pushdown and no planner.
 	disabled := NewEngine(st)
 	disabled.DisablePushdown = true
-	disabled.DisableReorder = true
-	r1, err := plain.Query(query)
+	disabled.DisableOptimizer = true
+	req := Request{Query: query, JSON: true}
+	r1, err := plain.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := disabled.Query(query)
+	r2, err := disabled.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r1.Rows) != len(r2.Rows) {
-		t.Fatalf("pushdown changed results: %d vs %d rows", len(r1.Rows), len(r2.Rows))
+	if r1.Rows != 3 || !bytes.Equal(r1.Body, r2.Body) {
+		t.Fatalf("pushdown changed results (%d vs %d rows):\n%s\nvs\n%s", r1.Rows, r2.Rows, r1.Body, r2.Body)
 	}
 }
 
@@ -84,12 +89,12 @@ func TestEvalDeterministicOrderAcrossRuns(t *testing.T) {
 	st := movieStore(t)
 	e := NewEngine(st)
 	query := `SELECT * WHERE { ?m <http://ex/starring> ?a . ?a <http://ex/birthPlace> ?c }`
-	first, err := e.Query(query)
+	first, err := runQuery(e, query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := e.Query(query)
+		again, err := runQuery(e, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +120,7 @@ func TestEngineConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := e.Query(`SELECT * WHERE { ?m <http://ex/starring> ?a }`)
+			res, err := runQuery(e, `SELECT * WHERE { ?m <http://ex/starring> ?a }`)
 			if err != nil {
 				errs <- err
 				return

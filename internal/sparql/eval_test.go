@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -46,9 +47,18 @@ func movieStore(t testing.TB) *store.Store {
 	return s
 }
 
+// runQuery evaluates src on Do's direct path and returns its solutions.
+func runQuery(e *Engine, src string) (*Results, error) {
+	resp, err := e.Do(context.Background(), Request{Query: src})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Results, nil
+}
+
 func queryRows(t testing.TB, e *Engine, src string) [][]string {
 	t.Helper()
-	res, err := e.Query(src)
+	res, err := runQuery(e, src)
 	if err != nil {
 		t.Fatalf("Query(%s): %v", src, err)
 	}
@@ -192,7 +202,7 @@ func TestEvalSubqueryWithHaving(t *testing.T) {
 
 func TestEvalOrderLimitOffset(t *testing.T) {
 	e := NewEngine(movieStore(t))
-	res, err := e.Query(`SELECT ?t WHERE { ?m <http://ex/title> ?t } ORDER BY ?t LIMIT 2 OFFSET 1`)
+	res, err := runQuery(e, `SELECT ?t WHERE { ?m <http://ex/title> ?t } ORDER BY ?t LIMIT 2 OFFSET 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +216,7 @@ func TestEvalOrderLimitOffset(t *testing.T) {
 
 func TestEvalOrderByDesc(t *testing.T) {
 	e := NewEngine(movieStore(t))
-	res, err := e.Query(`SELECT ?t WHERE { ?m <http://ex/title> ?t } ORDER BY DESC(?t)`)
+	res, err := runQuery(e, `SELECT ?t WHERE { ?m <http://ex/title> ?t } ORDER BY DESC(?t)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +350,7 @@ func TestEvalTimeout(t *testing.T) {
 	}
 	e := NewEngine(s)
 	e.SetTimeout(time.Nanosecond)
-	_, err := e.Query(`SELECT * WHERE { ?a <http://ex/p> ?x . ?b <http://ex/p> ?y . ?c <http://ex/p> ?z }`)
+	_, err := runQuery(e, `SELECT * WHERE { ?a <http://ex/p> ?x . ?b <http://ex/p> ?y . ?c <http://ex/p> ?z }`)
 	if err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -371,7 +381,7 @@ func TestEvalCrossProduct(t *testing.T) {
 
 func TestEvalStarColumnOrder(t *testing.T) {
 	e := NewEngine(movieStore(t))
-	res, err := e.Query(`SELECT * WHERE { ?m <http://ex/starring> ?a . ?a <http://ex/birthPlace> ?c }`)
+	res, err := runQuery(e, `SELECT * WHERE { ?m <http://ex/starring> ?a . ?a <http://ex/birthPlace> ?c }`)
 	if err != nil {
 		t.Fatal(err)
 	}

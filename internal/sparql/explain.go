@@ -53,7 +53,7 @@ func (r *ExplainReport) PlanText() string {
 
 // Results renders the report as a one-variable solution sequence (?plan,
 // one row per text line), which is how an "EXPLAIN SELECT ..." query
-// answers through every existing surface — Engine.Query, the HTTP server,
+// answers through every existing surface — Engine.Do, the HTTP server,
 // and the paginating client.
 func (r *ExplainReport) Results() *Results {
 	lines := strings.Split(strings.TrimRight(r.Text(), "\n"), "\n")
@@ -90,7 +90,7 @@ func (e *Engine) Explain(src string) (*ExplainReport, error) {
 	return e.ExplainContext(context.Background(), src)
 }
 
-// ExplainContext is Explain bounded by ctx; see QueryContext.
+// ExplainContext is Explain bounded by ctx; see Do.
 func (e *Engine) ExplainContext(ctx context.Context, src string) (*ExplainReport, error) {
 	q, err := Parse(src)
 	if err != nil {

@@ -11,6 +11,9 @@ import (
 
 const flightQuery = `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`
 
+// flightReq asks for flightQuery's SPARQL JSON body on the serving path.
+var flightReq = Request{Query: flightQuery, Serving: true, JSON: true}
+
 // gate is an eval hook that blocks evaluations until released, so tests can
 // pile up concurrent requests behind one cold evaluation deterministically.
 type gate struct {
@@ -63,8 +66,10 @@ func TestStampedeSingleEvaluation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, _, _, _, err := eng.QueryServingJSON(flightQuery, 0)
-			bodies[i], errs[i] = body, err
+			resp, err := eng.Do(context.Background(), flightReq)
+			if errs[i] = err; err == nil {
+				bodies[i] = resp.Body
+			}
 		}(i)
 	}
 	// Exactly one evaluation reaches the gate; release it once all callers
@@ -102,7 +107,7 @@ func TestFlightWaiterHonorsOwnContext(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := eng.QueryServingJSON(flightQuery, 0)
+		_, err := eng.Do(context.Background(), flightReq)
 		leaderDone <- err
 	}()
 	<-g.arrivals // leader's evaluation is in flight
@@ -110,7 +115,7 @@ func TestFlightWaiterHonorsOwnContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := eng.QueryServingJSONContext(ctx, flightQuery, 0)
+		_, err := eng.Do(ctx, flightReq)
 		waiterDone <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiter join the flight
@@ -145,7 +150,7 @@ func TestFlightLeaderCancelPromotesWaiter(t *testing.T) {
 	// same store so the flight engine's cache stays cold.
 	ref := NewEngine(eng.Store)
 	ref.EnableCache(DefaultPlanCacheEntries, DefaultResultCacheRows)
-	want, _, _, _, err := ref.QueryServingJSON(flightQuery, 0)
+	want, err := ref.Do(context.Background(), flightReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,21 +161,19 @@ func TestFlightLeaderCancelPromotesWaiter(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := eng.QueryServingJSONContext(leaderCtx, flightQuery, 0)
+		_, err := eng.Do(leaderCtx, flightReq)
 		leaderDone <- err
 	}()
 	<-g.arrivals // evaluation started by the leader
 
-	waiterDone := make(chan struct {
-		body []byte
+	type outcome struct {
+		resp *Response
 		err  error
-	}, 1)
+	}
+	waiterDone := make(chan outcome, 1)
 	go func() {
-		body, _, _, _, err := eng.QueryServingJSON(flightQuery, 0)
-		waiterDone <- struct {
-			body []byte
-			err  error
-		}{body, err}
+		resp, err := eng.Do(context.Background(), flightReq)
+		waiterDone <- outcome{resp, err}
 	}()
 	time.Sleep(10 * time.Millisecond) // waiter joins the flight
 	cancelLeader()
@@ -184,7 +187,7 @@ func TestFlightLeaderCancelPromotesWaiter(t *testing.T) {
 		if got.err != nil {
 			t.Fatalf("promoted waiter failed: %v", got.err)
 		}
-		if string(got.body) != string(want) {
+		if string(got.resp.Body) != string(want.Body) {
 			t.Fatal("promoted waiter's body differs from the unfaulted run")
 		}
 	case <-time.After(2 * time.Second):
@@ -206,7 +209,7 @@ func TestFlightAbandonedByAll(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := eng.QueryServingJSONContext(ctx, flightQuery, 0)
+		_, err := eng.Do(ctx, flightReq)
 		done <- err
 	}()
 	<-g.arrivals
@@ -218,12 +221,12 @@ func TestFlightAbandonedByAll(t *testing.T) {
 	// The aborted evaluation never filled the cache; a fresh request leads
 	// a new flight and succeeds.
 	g.open()
-	body, _, _, info, err := eng.QueryServingJSON(flightQuery, 0)
+	resp, err := eng.Do(context.Background(), flightReq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(body) == 0 || info.Hit {
-		t.Fatalf("fresh request after abandonment: hit=%v bodyLen=%d", info.Hit, len(body))
+	if len(resp.Body) == 0 || resp.Info.Hit {
+		t.Fatalf("fresh request after abandonment: hit=%v bodyLen=%d", resp.Info.Hit, len(resp.Body))
 	}
 }
 
@@ -283,7 +286,7 @@ func TestFlightConcurrentMixedKeys(t *testing.T) {
 						cancel()
 					}()
 				}
-				_, _, _, _, err := eng.QueryServingJSONContext(ctx, q, 0)
+				_, err := eng.Do(ctx, Request{Query: q, Serving: true, JSON: true})
 				if err != nil && !errors.Is(err, context.Canceled) {
 					failures.Add(1)
 				}

@@ -65,11 +65,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 		par := NewEngine(st)
 		par.Parallelism = workers
 		for _, q := range parallelQueries {
-			want, err := serial.Query(q)
+			want, err := runQuery(serial, q)
 			if err != nil {
 				t.Fatalf("serial %s: %v", q, err)
 			}
-			got, err := par.Query(q)
+			got, err := runQuery(par, q)
 			if err != nil {
 				t.Fatalf("parallel(%d) %s: %v", workers, q, err)
 			}
@@ -99,12 +99,12 @@ func TestParallelServingMatchesSerial(t *testing.T) {
 	par.Parallelism = 4
 	par.EnableCache(64, 1<<20)
 	q := `SELECT DISTINCT ?o ?c WHERE { ?p <http://ex/worksFor> ?o . ?o <http://ex/city> ?c } ORDER BY ?o LIMIT 10`
-	want, err := serial.Query(q)
+	want, err := runQuery(serial, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // miss then hit
-		body, _, _, info, err := par.QueryServingJSON(q, 0)
+		resp, err := par.Do(context.Background(), Request{Query: q, Serving: true, JSON: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +112,8 @@ func TestParallelServingMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(wb, body) {
-			t.Fatalf("serving round %d (hit=%v): body differs from serial evaluation", i, info.Hit)
+		if !bytes.Equal(wb, resp.Body) {
+			t.Fatalf("serving round %d (hit=%v): body differs from serial evaluation", i, resp.Info.Hit)
 		}
 	}
 }
@@ -134,7 +134,7 @@ func TestQueryContextCancellation(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		_, err := e.QueryContext(ctx, q)
+		_, err := e.Do(ctx, Request{Query: q})
 		elapsed := time.Since(start)
 		if err == nil {
 			t.Fatalf("parallelism %d: cancelled query succeeded", workers)
@@ -154,7 +154,7 @@ func TestQueryContextDeadlineIsTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	time.Sleep(2 * time.Millisecond)
-	_, err := e.QueryContext(ctx, `SELECT * WHERE { ?p <http://ex/age> ?a . ?q <http://ex/age> ?b }`)
+	_, err := e.Do(ctx, Request{Query: `SELECT * WHERE { ?p <http://ex/age> ?a . ?q <http://ex/age> ?b }`})
 	if err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -167,7 +167,7 @@ func TestParallelTimeout(t *testing.T) {
 	e := NewEngine(st)
 	e.Parallelism = 4
 	e.SetTimeout(time.Nanosecond)
-	_, err := e.Query(`SELECT * WHERE { ?p <http://ex/age> ?a . ?q <http://ex/age> ?b }`)
+	_, err := runQuery(e, `SELECT * WHERE { ?p <http://ex/age> ?a . ?q <http://ex/age> ?b }`)
 	if err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}

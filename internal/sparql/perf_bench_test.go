@@ -40,7 +40,7 @@ func BenchmarkBGPExtend(b *testing.B) {
 			q := `SELECT * WHERE { ?s <http://ex/p> ?o . ?s <http://ex/q> ?x }`
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := e.Query(q)
+				res, err := runQuery(e, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func BenchmarkGroupBy(b *testing.B) {
 			q := `SELECT ?o (COUNT(?s) AS ?n) WHERE { ?s <http://ex/p> ?o . ?s <http://ex/q> ?x } GROUP BY ?o`
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := e.Query(q)
+				res, err := runQuery(e, q)
 				if err != nil {
 					b.Fatal(err)
 				}

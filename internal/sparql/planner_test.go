@@ -109,11 +109,11 @@ func assertOptimizedMatchesHeuristic(t *testing.T, st *store.Store, src string) 
 	opt := NewEngine(st)
 	heur := NewEngine(st)
 	heur.DisableOptimizer = true
-	or, err := opt.Query(src)
+	or, err := runQuery(opt, src)
 	if err != nil {
 		t.Fatalf("optimized: %v", err)
 	}
-	hr, err := heur.Query(src)
+	hr, err := runQuery(heur, src)
 	if err != nil {
 		t.Fatalf("heuristic: %v", err)
 	}
@@ -207,22 +207,23 @@ func TestExplainThroughServingPath(t *testing.T) {
 	st := plannerStore(t)
 	eng := NewEngine(st)
 	eng.EnableCache(16, 1<<12)
-	body, rows, _, info, err := eng.QueryServingJSON(`EXPLAIN SELECT ?s WHERE { ?s <http://p/rare> ?x }`, 0)
+	req := Request{Query: `EXPLAIN SELECT ?s WHERE { ?s <http://p/rare> ?x }`, Serving: true, JSON: true}
+	resp, err := eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows == 0 || !strings.Contains(string(body), "scan") {
-		t.Fatalf("explain body missing plan lines: rows=%d body=%s", rows, body)
+	if resp.Rows == 0 || !strings.Contains(string(resp.Body), "scan") {
+		t.Fatalf("explain body missing plan lines: rows=%d body=%s", resp.Rows, resp.Body)
 	}
-	if info.Hit {
+	if resp.Info.Hit {
 		t.Fatal("explain must not be served from the result cache")
 	}
 	// Twice: still never a cache hit.
-	_, _, _, info, err = eng.QueryServingJSON(`EXPLAIN SELECT ?s WHERE { ?s <http://p/rare> ?x }`, 0)
+	resp, err = eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hit {
+	if resp.Info.Hit {
 		t.Fatal("repeated explain served from cache")
 	}
 }

@@ -185,7 +185,7 @@ func (e *Engine) resolveOps(ctx context.Context, req *UpdateRequest) ([]store.Up
 // once per solution, deduplicating the resulting ground deletes.
 func (e *Engine) resolveDeleteWhere(ctx context.Context, op *UpdateOperation) ([]store.UpdateOp, error) {
 	q := &Query{Star: true, Where: op.Where, Limit: -1}
-	res, err := e.EvalContext(ctx, q)
+	res, err := e.evalContext(ctx, q)
 	if err != nil {
 		return nil, fmt.Errorf("sparql: DELETE WHERE: %w", err)
 	}

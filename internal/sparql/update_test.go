@@ -313,40 +313,6 @@ func TestUpdateWALCrashRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-func TestDoParityWithDeprecatedWrappers(t *testing.T) {
-	q := `SELECT ?m ?a WHERE { ?m <http://ex/starring> ?a }`
-	ctx := context.Background()
-
-	e1 := NewEngine(movieStore(t))
-	legacy, err := e1.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaDo, err := e1.Do(ctx, Request{Query: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, _ := legacy.MarshalJSON()
-	db, _ := viaDo.Results.MarshalJSON()
-	if !bytes.Equal(lb, db) {
-		t.Fatal("Do diverges from Query")
-	}
-
-	e2 := NewEngine(movieStore(t))
-	e2.EnableCache(DefaultPlanCacheEntries, DefaultResultCacheRows)
-	legacyBody, _, _, _, err := e2.QueryServingJSON(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doResp, err := e2.Do(ctx, Request{Query: q, Serving: true, JSON: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacyBody, doResp.Body) {
-		t.Fatal("Do serving body diverges from QueryServingJSON")
-	}
-}
-
 func TestDoMaxRowsTruncation(t *testing.T) {
 	e := NewEngine(movieStore(t))
 	ctx := context.Background()
